@@ -8,6 +8,7 @@
 package doacross_test
 
 import (
+	"runtime"
 	"testing"
 
 	"doacross"
@@ -86,11 +87,12 @@ func TestSimNilTracerAllocs(t *testing.T) {
 
 // TestPipelineCachedHitAllocs pins the per-request allocation count of a
 // cached-hit batch request — the steady-state service shape where every
-// stage after compile is served from the schedule cache. The bound has a
-// little headroom over the measured count (21 allocs/op) because the
-// pipeline spawns its worker goroutine per Run; it exists to catch the
-// hot path regressing back to per-request rescheduling, which costs
-// hundreds of allocations.
+// stage after compile is served from the schedule cache. The measured
+// count is 18 allocs/op: the batch and its result, the worker goroutine
+// Run spawns, the rendered key salts, the metrics snapshot and the timing
+// audit. The bound leaves a little headroom over it; it exists to catch
+// the hot path regressing back to per-request rescheduling (hundreds of
+// allocations) or to per-request work a hit does not need.
 func TestPipelineCachedHitAllocs(t *testing.T) {
 	reqs := []pipeline.Request{{Name: "hot", Source: hotbench.Fig1, N: hotbench.N}}
 	opt := doacross.BatchOptions{
@@ -114,8 +116,41 @@ func TestPipelineCachedHitAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	const limit = 40
+	const limit = 22
 	if got > limit {
 		t.Errorf("cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
 	}
+}
+
+// TestServerHitAllocs pins what a warm scheduld request costs through the
+// daemon's handler (hotbench.HitServer: Fig. 1 on the paper's four
+// machines, every stage a cache hit): bytes and allocations per request,
+// from the TotalAlloc and Mallocs deltas over a run of requests. The
+// measured cost is about 13 KiB and 93 allocations; before the per-flight
+// span recorder was sized to one request and its snapshot to the spans it
+// holds, it was about 98 KiB and 157.
+func TestServerHitAllocs(t *testing.T) {
+	serve, err := hotbench.HitServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		if err := serve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / requests
+	allocs := (after.Mallocs - before.Mallocs) / requests
+	const maxBytes, maxAllocs = 16 << 10, 110
+	if bytes > maxBytes {
+		t.Errorf("warm scheduld hit: %d B/request, want <= %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("warm scheduld hit: %d allocs/request, want <= %d", allocs, maxAllocs)
+	}
+	t.Logf("warm scheduld hit: %d B/request, %d allocs/request", bytes, allocs)
 }

@@ -38,6 +38,11 @@ func BenchmarkHotScheduleWarm(b *testing.B) { hotbench.ScheduleWarm(b) }
 // the per-request overhead when every stage after compile is a cache hit.
 func BenchmarkHotPipelineCachedHit(b *testing.B) { hotbench.PipelineCachedHit(b) }
 
+// BenchmarkHotServeHit is a warm scheduld request through the daemon's
+// handler: Fig. 1 on the paper's four machines, every stage a cache hit.
+// Its bytes per request are pinned by TestServerHitAllocs.
+func BenchmarkHotServeHit(b *testing.B) { hotbench.ServeHit(b) }
+
 // BenchmarkHotSim measures the recurrence simulator on the Fig. 1 sync
 // schedule untraced (the pipeline's hot path — the nil tracer hook must
 // cost nothing, pinned by TestSimNilTracerAllocs) against the same run with

@@ -1,8 +1,8 @@
 // Package hotbench holds the hot-path benchmark workloads tracked by
 // BENCH_hotpath.json: the 64-loop batch corpus scheduled serially and
 // through the pipeline, the single-loop compile→schedule path, the
-// steady-state warm-Scratch scheduling kernel, and a cached-hit pipeline
-// request. The workloads take *testing.B so the same code serves both the
+// steady-state warm-Scratch scheduling kernel, a cached-hit pipeline
+// request, and a cached-hit request through the scheduld handler. The workloads take *testing.B so the same code serves both the
 // `go test -bench` entry points (hotbench_test.go at the repo root) and
 // the committed-snapshot emitter (`go run ./cmd/report -hotpath-json`),
 // keeping the numbers in CI, in the benchmarks and in the JSON artifact
@@ -10,13 +10,18 @@
 package hotbench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"doacross"
+	"doacross/internal/dlx"
 	"doacross/internal/pipeline"
+	"doacross/internal/server"
 )
 
 // Fig1 is the paper's Fig. 1 loop, the single-loop workload.
@@ -187,6 +192,106 @@ func PipelineCachedHit(b *testing.B) {
 	}
 }
 
+// HitServer builds an in-memory scheduld serving the paper's four machines
+// at N, warms it with one Fig. 1 request, and returns a function that
+// serves one more identical POST /v1/schedule through the daemon's handler
+// (no network). serve fails unless the answer is a 200 whose every machine
+// was a cache hit, so the measured path is exactly the warm hit path:
+// request decoding, admission, coalescing, the pipeline hit path with its
+// per-flight span recorder and timing audit, response encoding and the
+// flight record.
+func HitServer() (serve func() error, err error) {
+	srv, err := server.New(server.Config{
+		Pipeline: pipeline.Options{Workers: 1, Machines: dlx.PaperConfigs(), N: N},
+	})
+	if err != nil {
+		return nil, err
+	}
+	h := srv.Handler()
+	body, err := json.Marshal(server.ScheduleRequest{Name: "fig1", Source: Fig1, N: N})
+	if err != nil {
+		return nil, err
+	}
+	// The request and the response writer are reused, so what serve
+	// allocates is the daemon's own work.
+	w := &responseWriter{header: http.Header{}}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", rd)
+	req.Header.Set("X-Request-Id", "hot")
+	var resp server.ScheduleResponse
+	serve = func() error {
+		rd.Reset(body)
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			return fmt.Errorf("hotbench: status %d: %s", w.code, w.body.Bytes())
+		}
+		return nil
+	}
+	if err := serve(); err != nil {
+		return nil, err
+	}
+	// The warm-up request compiled and scheduled; from here on every
+	// machine must be served from cache.
+	if err := serve(); err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
+		return nil, err
+	}
+	for _, m := range resp.Machines {
+		if !m.CacheHit {
+			return nil, fmt.Errorf("hotbench: warm request missed the cache on %s", m.Machine)
+		}
+	}
+	return serve, nil
+}
+
+// responseWriter is a reusable http.ResponseWriter that keeps the status
+// and the body of the last answer.
+type responseWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (w *responseWriter) Header() http.Header { return w.header }
+
+func (w *responseWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *responseWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.body.Write(p)
+}
+
+func (w *responseWriter) reset() {
+	clear(w.header)
+	w.code = 0
+	w.body.Reset()
+}
+
+// ServeHit is a warm scheduld request served through the daemon's handler:
+// one Fig. 1 POST /v1/schedule on the paper's four machines, every stage a
+// cache hit. It names the handler layer's own time and allocations, above
+// PipelineCachedHit's pipeline-only cost.
+func ServeHit(b *testing.B) {
+	serve, err := HitServer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // SimUntraced is the recurrence simulator alone on the Fig. 1 sync
 // schedule with no tracer attached — the pipeline's hot simulate path.
 // TestSimNilTracerAllocs at the repo root pins its steady-state allocation
@@ -291,6 +396,7 @@ var workloads = []struct {
 	{"BenchmarkHotCompileSchedule", CompileSchedule},
 	{"BenchmarkHotScheduleWarm", ScheduleWarm},
 	{"BenchmarkHotPipelineCachedHit", PipelineCachedHit},
+	{"BenchmarkHotServeHit", ServeHit},
 	{"BenchmarkHotSim/untraced", SimUntraced},
 	{"BenchmarkHotSim/traced", SimTraced},
 }

@@ -49,7 +49,8 @@ func Predict(s *core.Schedule, n int) int {
 	}
 	l := s.CompletionLength()
 	best := l
-	for _, p := range s.PairSpans() {
+	var buf [16]core.PairSpan
+	for _, p := range s.PairSpansAppend(buf[:0]) {
 		if !p.LBD() {
 			continue
 		}

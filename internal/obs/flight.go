@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,28 +48,56 @@ type SpanNode struct {
 }
 
 // SpanNodes folds a span snapshot (Recorder.Snapshot order) into nested
-// trees, roots first.
+// trees, roots first; siblings keep snapshot order. A span whose parent is
+// not in the snapshot (dropped by ring wrap-around) becomes a root, as in
+// BuildTree. All nodes share one backing array: every node's Children is a
+// window of it.
 func SpanNodes(spans []Span) []SpanNode {
-	t := BuildTree(spans)
-	var build func(id SpanID) []SpanNode
-	build = func(id SpanID) []SpanNode {
-		kids := t.Children[id]
-		if len(kids) == 0 {
-			return nil
-		}
-		out := make([]SpanNode, 0, len(kids))
-		for _, c := range kids {
-			out = append(out, SpanNode{
-				Kind:     c.Kind.String(),
-				Name:     c.Name,
-				DurUS:    c.Duration.Microseconds(),
-				Err:      c.Err,
-				Children: build(c.ID),
-			})
-		}
-		return out
+	n := len(spans)
+	if n == 0 {
+		return nil
 	}
-	return build(0)
+	// Children are grouped by parent position (roots form group n) and the
+	// groups are laid out in position order: group g occupies
+	// nodes[start[g]:start[g+1]], with start[n+1] = n.
+	ints := make([]int, 4*n+3)
+	byID, parent, start, next := ints[:n], ints[n:2*n], ints[2*n:3*n+2], ints[3*n+2:]
+	// byID lists positions in ID order, so a parent is found by binary
+	// search instead of through a map.
+	for i := range byID {
+		byID[i] = i
+	}
+	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(spans[a].ID, spans[b].ID) })
+	for i := range spans {
+		parent[i] = n
+		if id := spans[i].Parent; id != 0 {
+			j, ok := slices.BinarySearchFunc(byID, id, func(k int, id SpanID) int {
+				return cmp.Compare(spans[k].ID, id)
+			})
+			if ok {
+				parent[i] = byID[j]
+			}
+		}
+		start[parent[i]+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	copy(next, start)
+	nodes := make([]SpanNode, n)
+	at := byID // reused: at[i] is span i's node
+	for i, s := range spans {
+		k := next[parent[i]]
+		next[parent[i]]++
+		at[i] = k
+		nodes[k] = SpanNode{Kind: s.Kind.String(), Name: s.Name, DurUS: s.Duration.Microseconds(), Err: s.Err}
+	}
+	for i := range spans {
+		if lo, hi := start[i], start[i+1]; hi > lo {
+			nodes[at[i]].Children = nodes[lo:hi:hi]
+		}
+	}
+	return nodes[start[n]:]
 }
 
 // FlightRecorder is the always-on black box: a bounded mutex-guarded ring of

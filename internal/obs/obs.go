@@ -16,7 +16,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -108,6 +109,8 @@ type Recorder struct {
 	next  atomic.Uint64
 	slots []atomic.Pointer[Span]
 	mask  uint64
+	// noAttrs drops span attributes at End (see NewTreeRecorder).
+	noAttrs bool
 }
 
 // DefaultCapacity is the ring size used when NewRecorder is given n <= 0.
@@ -128,6 +131,16 @@ func NewRecorder(n int) *Recorder {
 		slots: make([]atomic.Pointer[Span], size),
 		mask:  uint64(size - 1),
 	}
+}
+
+// NewTreeRecorder returns a recorder like NewRecorder(n) that drops span
+// attributes: it keeps exactly what SpanNodes renders — kind, name,
+// duration, error and nesting — for callers that only fold a request's
+// span tree.
+func NewTreeRecorder(n int) *Recorder {
+	r := NewRecorder(n)
+	r.noAttrs = true
+	return r
 }
 
 // Epoch is the recorder's time base (trace timestamps are relative to it).
@@ -170,7 +183,7 @@ func (r *Recorder) End(s *Span, err error, attrs ...Attr) {
 	if err != nil {
 		s.Err = err.Error()
 	}
-	if len(attrs) > 0 {
+	if len(attrs) > 0 && !r.noAttrs {
 		s.Attrs = append(s.Attrs, attrs...)
 	}
 	r.publish(*s)
@@ -209,13 +222,19 @@ func (r *Recorder) Dropped() uint64 {
 
 // Snapshot returns the finished spans currently in the ring, ordered by
 // start time. It is safe to call while spans are being recorded: each slot
-// is read with one atomic load and published spans are immutable.
+// is read with one atomic load and published spans are immutable. The
+// result is sized to the spans the ring holds, not to its capacity, and a
+// ring that never wrapped is read only up to its last claimed slot.
 func (r *Recorder) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
+	live := r.next.Load()
+	if live > uint64(len(r.slots)) {
+		live = uint64(len(r.slots))
+	}
+	out := make([]Span, 0, live)
+	for i := range r.slots[:live] {
 		if sp := r.slots[i].Load(); sp != nil {
 			out = append(out, *sp)
 		}
@@ -227,10 +246,10 @@ func (r *Recorder) Snapshot() []Span {
 // sortSpans orders spans by start time, breaking ties by ID (IDs are
 // allocated in Start order, so the tiebreak is stable and parent-first).
 func sortSpans(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool {
-		if !spans[i].Start.Equal(spans[j].Start) {
-			return spans[i].Start.Before(spans[j].Start)
+	slices.SortFunc(spans, func(a, b Span) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
 		}
-		return spans[i].ID < spans[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,11 @@ type Cache struct {
 	// victim is simply dropped and the next reader recomputes it.
 	perShard  int
 	evictions atomic.Int64
+
+	// pending maps each key a caller is computing right now (see claim) to
+	// a channel closed when that caller is done with it.
+	pmu     sync.Mutex
+	pending map[dfg.Fingerprint]chan struct{}
 }
 
 type cacheShard struct {
@@ -87,6 +93,52 @@ func (c *Cache) Put(k dfg.Fingerprint, v any) (any, bool) {
 	}
 	s.m[k] = v
 	return v, false
+}
+
+// claim is Get for a caller that computes and Puts the value itself on a
+// miss. When another caller is already computing k, claim waits for it
+// instead of duplicating the work and returns the value it published, so
+// concurrent identical misses cost one computation. On a miss the caller
+// holds k until it calls release (idempotent), which it must do once its
+// Put is done or it decided not to Put; a computation that publishes
+// nothing lets the next waiter compute. When ctx expires during a wait the
+// caller computes unclaimed. Unlike Group, the computation runs on the
+// claimer's own goroutine: it uses the calling worker's scheduler scratch,
+// which must not outlive the worker's wait.
+func (c *Cache) claim(ctx context.Context, k dfg.Fingerprint) (v any, ok bool, release func()) {
+	for {
+		if v, ok := c.Get(k); ok {
+			return v, true, nil
+		}
+		c.pmu.Lock()
+		if v, ok := c.Get(k); ok {
+			c.pmu.Unlock()
+			return v, true, nil
+		}
+		busy, computing := c.pending[k]
+		if !computing {
+			done := make(chan struct{})
+			if c.pending == nil {
+				c.pending = make(map[dfg.Fingerprint]chan struct{})
+			}
+			c.pending[k] = done
+			c.pmu.Unlock()
+			return nil, false, func() {
+				c.pmu.Lock()
+				if c.pending[k] == done {
+					delete(c.pending, k)
+					close(done)
+				}
+				c.pmu.Unlock()
+			}
+		}
+		c.pmu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, false, func() {}
+		}
+	}
 }
 
 // Len returns the number of cached entries.

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"doacross/internal/dep"
 	"doacross/internal/dfg"
@@ -203,5 +206,66 @@ func TestCacheBoundedEviction(t *testing.T) {
 	}
 	if u.Evictions() != 0 || u.Len() != 100 {
 		t.Fatalf("unbounded cache: Len=%d Evictions=%d", u.Len(), u.Evictions())
+	}
+}
+
+// TestCacheClaimOneComputation: concurrent claimers of one missing key
+// elect one computer; the rest wait and get its published value.
+func TestCacheClaimOneComputation(t *testing.T) {
+	c := NewCache()
+	k := dfg.Fingerprint{1}
+	var computed atomic.Int64
+	var wg sync.WaitGroup
+	vals := make([]any, 16)
+	for i := range vals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, ok, release := c.claim(context.Background(), k)
+			if !ok {
+				computed.Add(1)
+				time.Sleep(time.Millisecond)
+				v, _ = c.Put(k, i)
+				release()
+				release() // idempotent
+			}
+			vals[i] = v
+		}(i)
+	}
+	wg.Wait()
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("%d claimers computed the value, want 1", n)
+	}
+	for i, v := range vals {
+		if v != vals[0] {
+			t.Errorf("claimer %d got %v, claimer 0 got %v", i, v, vals[0])
+		}
+	}
+}
+
+// TestCacheClaimUnpublished: a computer that releases without publishing
+// hands the key to the next waiter; a waiter whose context expires stops
+// waiting and computes unclaimed.
+func TestCacheClaimUnpublished(t *testing.T) {
+	c := NewCache()
+	k := dfg.Fingerprint{2}
+	_, ok, release := c.claim(context.Background(), k)
+	if ok {
+		t.Fatal("empty cache claimed a hit")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, ok, _ := c.claim(ctx, k); ok || ctx.Err() == nil {
+		t.Fatalf("expired waiter: hit = %v, ctx err = %v; want a miss after the deadline", ok, ctx.Err())
+	}
+	next := make(chan bool)
+	go func() {
+		_, ok, release := c.claim(context.Background(), k)
+		release()
+		next <- ok
+	}()
+	release() // nothing published: the waiter computes
+	if <-next {
+		t.Error("waiter hit a value nobody published")
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"doacross/internal/dfg"
+	"doacross/internal/passes"
 )
 
 // RequestKey fingerprints the complete scheduling problem one request poses
@@ -17,28 +19,136 @@ import (
 // window. Two requests with equal keys are guaranteed interchangeable — the
 // pipeline would compute byte-identical results for both — which makes the
 // key the content address concurrent identical requests coalesce on
-// (Group) and the daemon's response-identity.
+// (Group) and the daemon's response-identity. A caller keying many
+// requests under one option set renders the options once with NewKeys.
 func RequestKey(req Request, opt Options) dfg.Fingerprint {
+	return NewKeys(opt).Request(req)
+}
+
+// RequestSpans is the number of observer spans one request of a
+// single-request batch under opt records at most: the batch and request
+// spans, the compile stage and one span per compilation pass, and a
+// schedule, verify and simulate stage per machine. A recorder of this
+// capacity holds a request's whole span tree without wrapping.
+func RequestSpans(opt Options) int {
+	return 3 + len(passes.New(opt.Compile).Names()) + 3*len(opt.machines())
+}
+
+// salts are the option-derived strings of the pipeline's compile-memo,
+// schedule, time and disk keys, rendered once per RunContext (or LoadDisk)
+// instead of once per request and machine. The trip-count/window and
+// exact-backend salts are kept at the default trip count and rendered on
+// demand for any other.
+type salts struct {
+	compile string // Options.compileSalt
+	sched   string // Options.salt
+	window  int
+	exact   bool // the exact backend is selected
+	exactN  int  // Compile.Exact.N
+	n       int  // the default trip count, and its salts:
+	nw      string
+	exactAt string
+}
+
+func newSalts(opt Options) salts {
+	k := salts{
+		compile: opt.compileSalt(), sched: opt.salt(), window: opt.Window,
+		exact: opt.backendName() == "exact", exactN: opt.Compile.Exact.N, n: opt.n(),
+	}
+	k.nw = k.renderNW(k.n)
+	k.exactAt = k.renderExact(k.n)
+	return k
+}
+
+// nwSalt is the trip-count/window salt of the time and disk keys.
+func (k *salts) nwSalt(n int) string {
+	if n == k.n {
+		return k.nw
+	}
+	return k.renderNW(n)
+}
+
+// renderNW renders "n=%d w=%d".
+func (k *salts) renderNW(n int) string {
+	b := make([]byte, 0, 24)
+	b = strconv.AppendInt(append(b, "n="...), int64(n), 10)
+	b = strconv.AppendInt(append(b, " w="...), int64(k.window), 10)
+	return string(b)
+}
+
+// exactSalt returns the extra cache-key salt of exact-backend scheduling
+// problems ("" for every other backend): the objective's trip count changes
+// which schedule is optimal, so it must split the key space. The node budget
+// is deliberately NOT part of the key — only proven-optimal results are ever
+// published, and those are budget-invariant (a completed search returns the
+// same schedule under any budget large enough to complete).
+func (k *salts) exactSalt(n int) string {
+	if n == k.n {
+		return k.exactAt
+	}
+	return k.renderExact(n)
+}
+
+// renderExact renders "exactN=%d" for the exact backend.
+func (k *salts) renderExact(n int) string {
+	if !k.exact {
+		return ""
+	}
+	if k.exactN != 0 {
+		n = k.exactN
+	}
+	return "exactN=" + strconv.Itoa(n)
+}
+
+// Keys computes RequestKey for one option set, with every option-derived
+// string — the machines included — rendered once by NewKeys. A Keys is
+// immutable and safe for concurrent use.
+type Keys struct {
+	salts
+	machines string // "m=%+v\x00" per machine, in order
+	head     string // what the key hashes before the source, at the default trip count
+}
+
+// NewKeys renders opt's key salts.
+func NewKeys(opt Options) *Keys {
+	k := &Keys{salts: newSalts(opt)}
+	var m strings.Builder
+	for _, cfg := range opt.machines() {
+		fmt.Fprintf(&m, "m=%+v\x00", cfg)
+	}
+	k.machines = m.String()
+	k.head = k.renderHead(k.n)
+	return k
+}
+
+// renderHead renders everything the request key hashes before the source.
+func (k *Keys) renderHead(n int) string {
+	return "request\x00" + k.compile + "\x00" + k.sched +
+		"\x00" + k.nwSalt(n) + " x=" + k.exactSalt(n) + "\x00" + k.machines
+}
+
+// keyBufs recycles the buffers request keys are hashed from.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Request is RequestKey(req, opt) for the options k was built from.
+func (k *Keys) Request(req Request) dfg.Fingerprint {
 	n := req.N
 	if n == 0 {
-		n = opt.n()
+		n = k.n
 	}
-	h := sha256.New()
-	io.WriteString(h, "request\x00")
-	io.WriteString(h, opt.compileSalt())
-	io.WriteString(h, "\x00")
-	io.WriteString(h, opt.salt())
-	fmt.Fprintf(h, "\x00n=%d w=%d x=%s\x00", n, opt.Window, opt.exactSalt(n))
-	for _, m := range opt.machines() {
-		fmt.Fprintf(h, "m=%+v\x00", m)
+	head := k.head
+	if n != k.n {
+		head = k.renderHead(n)
 	}
 	src := req.Source
 	if req.Loop != nil {
 		src = req.Loop.String()
 	}
-	io.WriteString(h, src)
-	var fp dfg.Fingerprint
-	h.Sum(fp[:0])
+	bp := keyBufs.Get().(*[]byte)
+	b := append(append((*bp)[:0], head...), src...)
+	fp := dfg.Fingerprint(sha256.Sum256(b))
+	*bp = b
+	keyBufs.Put(bp)
 	return fp
 }
 

@@ -1,9 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,7 @@ func bucketLabel(i int) string {
 // stageMetrics is the hot-path side of one stage: atomic counters only, safe
 // for concurrent workers without locks.
 type stageMetrics struct {
+	name    string
 	count   atomic.Int64
 	errs    atomic.Int64
 	totalNS atomic.Int64
@@ -89,8 +91,11 @@ type stageMetrics struct {
 // Metrics implements passes.Tracer, so a registry can be handed straight to
 // the pass manager for per-pass latency tracking.
 type Metrics struct {
-	mu           sync.RWMutex
-	stages       map[string]*stageMetrics
+	mu     sync.RWMutex
+	stages map[string]*stageMetrics
+	// ranked holds the same stages in reporting order (stageRank, then
+	// name), kept sorted as stages register, so a snapshot is a slice fill.
+	ranked       []*stageMetrics
 	hits, misses atomic.Int64
 	// Robustness counters: recovered worker/pass panics, requests that hit
 	// a deadline or cancellation, and schedules served by the verified
@@ -144,9 +149,19 @@ func (m *Metrics) stage(name string) *stageMetrics {
 	if m.stages == nil {
 		m.stages = map[string]*stageMetrics{}
 	}
-	s = &stageMetrics{}
+	s = &stageMetrics{name: name}
 	m.stages[name] = s
+	at, _ := slices.BinarySearchFunc(m.ranked, s, compareStages)
+	m.ranked = slices.Insert(m.ranked, at, s)
 	return s
+}
+
+// compareStages orders stages for reports: by stageRank, then by name.
+func compareStages(a, b *stageMetrics) int {
+	if c := cmp.Compare(stageRank(a.name), stageRank(b.name)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.name, b.name)
 }
 
 // Observe records one completed execution of the named stage.
@@ -406,36 +421,23 @@ type Stats struct {
 
 // Stats snapshots the registry.
 func (m *Metrics) Stats() Stats {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.stages))
-	snap := make(map[string]*stageMetrics, len(m.stages))
-	for name, s := range m.stages {
-		names = append(names, name)
-		snap[name] = s
-	}
-	m.mu.RUnlock()
-	sort.Slice(names, func(i, j int) bool {
-		ri, rj := stageRank(names[i]), stageRank(names[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return names[i] < names[j]
-	})
 	var out Stats
-	for _, name := range names {
-		s := snap[name]
-		ss := StageStats{
-			Stage:  name,
-			Count:  s.count.Load(),
-			Errors: s.errs.Load(),
-			Total:  time.Duration(s.totalNS.Load()),
-			Max:    time.Duration(s.maxNS.Load()),
-		}
-		for b := 0; b < numBuckets; b++ {
+	m.mu.RLock()
+	if len(m.ranked) > 0 {
+		out.Stages = make([]StageStats, len(m.ranked))
+	}
+	for i, s := range m.ranked {
+		ss := &out.Stages[i]
+		ss.Stage = s.name
+		ss.Count = s.count.Load()
+		ss.Errors = s.errs.Load()
+		ss.Total = time.Duration(s.totalNS.Load())
+		ss.Max = time.Duration(s.maxNS.Load())
+		for b := range ss.Buckets {
 			ss.Buckets[b] = s.buckets[b].Load()
 		}
-		out.Stages = append(out.Stages, ss)
 	}
+	m.mu.RUnlock()
 	out.CacheHits = m.hits.Load()
 	out.CacheMisses = m.misses.Load()
 	out.Panics = m.panics.Load()

@@ -47,7 +47,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -197,13 +197,20 @@ func (o Options) machines() []dlx.Config {
 	return []dlx.Config{dlx.Standard(4, 1)}
 }
 
-// salt renders the scheduling-relevant options into the cache-key salt. The
-// backend name is part of it: the same DFG on the same machine schedules
-// differently under different backends, and cached entries must never cross.
+// salt renders the scheduling-relevant options into the cache-key salt,
+// "base=%d sync=%v/%v/%v/%v best=%v backend=%s". The backend name is part of
+// it: the same DFG on the same machine schedules differently under
+// different backends, and cached entries must never cross.
 func (o Options) salt() string {
-	return fmt.Sprintf("base=%d sync=%v/%v/%v/%v best=%v backend=%s", int(o.Baseline),
-		o.Sync.NoPairArcs, o.Sync.NoLazyWaits, o.Sync.NoSPPriority, o.Sync.AscendingSP, o.Best,
-		o.backendName())
+	b := make([]byte, 0, 80)
+	b = strconv.AppendInt(append(b, "base="...), int64(o.Baseline), 10)
+	b = strconv.AppendBool(append(b, " sync="...), o.Sync.NoPairArcs)
+	b = strconv.AppendBool(append(b, '/'), o.Sync.NoLazyWaits)
+	b = strconv.AppendBool(append(b, '/'), o.Sync.NoSPPriority)
+	b = strconv.AppendBool(append(b, '/'), o.Sync.AscendingSP)
+	b = strconv.AppendBool(append(b, " best="...), o.Best)
+	b = append(append(b, " backend="...), o.backendName()...)
+	return string(b)
 }
 
 // backendName normalizes Compile.Backend ("" is the historical "sync").
@@ -226,29 +233,23 @@ func (o Options) backendScheduler(n int) (core.Scheduler, error) {
 	return passes.Backend(o.Compile.Backend, bc)
 }
 
-// exactSalt returns the extra cache-key salt of exact-backend scheduling
-// problems ("" for every other backend): the objective's trip count changes
-// which schedule is optimal, so it must split the key space. The node budget
-// is deliberately NOT part of the key — only proven-optimal results are ever
-// published, and those are budget-invariant (a completed search returns the
-// same schedule under any budget large enough to complete).
-func (o Options) exactSalt(n int) string {
-	if o.backendName() != "exact" {
-		return ""
-	}
-	en := o.Compile.Exact.N
-	if en == 0 {
-		en = n
-	}
-	return fmt.Sprintf("exactN=%d", en)
-}
-
 // compileSalt renders the compile-relevant options into the compile-memo
-// key: pass selection and artifact dumps change what a compilation produces.
+// key, "u=%d mig=%v noif=%v flow=%v dump=%s" with the dumps comma-joined:
+// pass selection and artifact dumps change what a compilation produces.
 func (o Options) compileSalt() string {
-	return fmt.Sprintf("u=%d mig=%v noif=%v flow=%v dump=%s", o.Compile.Unroll,
-		o.Compile.Migrate, o.Compile.NoIfConvert, o.Compile.FlowOnly,
-		strings.Join(o.Compile.Dump, ","))
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(append(b, "u="...), int64(o.Compile.Unroll), 10)
+	b = strconv.AppendBool(append(b, " mig="...), o.Compile.Migrate)
+	b = strconv.AppendBool(append(b, " noif="...), o.Compile.NoIfConvert)
+	b = strconv.AppendBool(append(b, " flow="...), o.Compile.FlowOnly)
+	b = append(b, " dump="...)
+	for i, d := range o.Compile.Dump {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, d...)
+	}
+	return string(b)
 }
 
 // Fault-probe stage names (the compilation passes are probed under their own
@@ -400,9 +401,21 @@ type compileEntry struct {
 	syncLoop *syncop.Loop
 	prog     *tac.Program
 	graph    *dfg.Graph
-	trace    *passes.Trace
-	diags    diag.List
-	lint     diag.List
+	// fp is graph's fingerprint, hashed once at compile time: every
+	// schedule, time and disk key of the loop derives from it.
+	fp    dfg.Fingerprint
+	trace *passes.Trace
+	diags diag.List
+	lint  diag.List
+}
+
+// newCompileEntry packages a finished compilation with its lint findings.
+func newCompileEntry(pctx *passes.Context, lint diag.List) *compileEntry {
+	return &compileEntry{
+		loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
+		prog: pctx.Code, graph: pctx.Graph, fp: pctx.Graph.Fingerprint(),
+		trace: pctx.Trace, diags: pctx.Diags, lint: lint,
+	}
 }
 
 // sourceKey addresses the compile memo: a hash of the loop's source text and
@@ -503,6 +516,8 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
 		defer cancel()
 	}
+	keys := newSalts(opt)
+	firsts, done := repeats(reqs, opt)
 	batch := &Batch{Loops: make([]LoopResult, len(reqs))}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -519,11 +534,20 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 			// One scheduler scratch per worker: scheduling cache misses reuse
 			// its buffers across requests (results are cloned before they are
 			// published, so entries never alias scratch storage).
-			sc := core.NewScratch()
+			var sc lazyScratch
 			for i := range jobs {
 				metrics.QueueAdd(-1)
 				metrics.WorkerStart()
-				batch.Loops[i] = runOne(ctx, i, reqs[i], machines, opt, sc, metrics, bspan)
+				if firsts != nil && firsts[i] != i {
+					select {
+					case <-done[firsts[i]]:
+					case <-ctx.Done():
+					}
+				}
+				batch.Loops[i] = runOne(ctx, i, reqs[i], machines, opt, &keys, &sc, metrics, bspan)
+				if done != nil && done[i] != nil {
+					close(done[i])
+				}
 				metrics.WorkerDone()
 			}
 		}()
@@ -560,6 +584,51 @@ feed:
 		obs.I("failed", int64(failed)))
 	batch.Stats = metrics.Stats()
 	return batch, nil
+}
+
+// repeats finds the requests of a cached batch that repeat an earlier one
+// (same source or parsed loop, same trip count). firsts[i] is the index of
+// request i's first occurrence, and done[f] is closed when first occurrence
+// f finishes. A repeat waits for it and is then served from the cache it
+// filled, exactly as in a serial run; requests that only share stages (the
+// same loop at another trip count) share them through the cache's claims.
+// Both are nil when nothing repeats.
+func repeats(reqs []Request, opt Options) (firsts []int, done []chan struct{}) {
+	if len(reqs) < 2 || opt.Cache == nil {
+		return nil, nil
+	}
+	type ident struct {
+		src  string
+		loop *lang.Loop
+		n    int
+	}
+	seen := make(map[ident]int, len(reqs))
+	for i, r := range reqs {
+		id := ident{src: r.Source, loop: r.Loop, n: r.N}
+		if r.Loop != nil {
+			id.src = ""
+		}
+		if id.n == 0 {
+			id.n = opt.n()
+		}
+		f, ok := seen[id]
+		if !ok {
+			seen[id] = i
+			continue
+		}
+		if firsts == nil {
+			firsts = make([]int, len(reqs))
+			for j := range firsts {
+				firsts[j] = j
+			}
+			done = make([]chan struct{}, len(reqs))
+		}
+		firsts[i] = f
+		if done[f] == nil {
+			done[f] = make(chan struct{})
+		}
+	}
+	return firsts, done
 }
 
 // ctxErr converts an expired context into a request error, counting the
@@ -613,21 +682,33 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	return nil
 }
 
-// runOne pushes one request through compile → schedule → simulate. sc is the
-// calling worker's reusable scheduler scratch (never shared across
-// goroutines).
-func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, opt Options, sc *core.Scratch, metrics *Metrics, bspan obs.Span) (res LoopResult) {
+// lazyScratch is a worker's scheduler scratch, allocated on first use: a
+// worker that serves only cache hits never needs one.
+type lazyScratch struct{ sc *core.Scratch }
+
+func (l *lazyScratch) get() *core.Scratch {
+	if l.sc == nil {
+		l.sc = core.NewScratch()
+	}
+	return l.sc
+}
+
+// runOne pushes one request through compile → schedule → simulate. keys
+// are opt's rendered key salts; scratch is the calling worker's reusable
+// scheduler scratch (never shared across goroutines).
+func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, opt Options, keys *salts, scratch *lazyScratch, metrics *Metrics, bspan obs.Span) (res LoopResult) {
 	res = LoopResult{Index: idx, Name: req.name(idx), N: req.N}
 	rspan := opt.Observer.Start(obs.KindRequest, res.Name, bspan)
 	defer func() {
 		if opt.Observer == nil {
 			return
 		}
-		attrs := []obs.Attr{obs.I("index", int64(idx))}
+		attrs := [2]obs.Attr{obs.I("index", int64(idx))}
+		n := 1
 		if req.ID != "" {
-			attrs = append(attrs, obs.S("request_id", req.ID))
+			attrs[1], n = obs.S("request_id", req.ID), 2
 		}
-		opt.Observer.End(&rspan, res.Err, attrs...)
+		opt.Observer.End(&rspan, res.Err, attrs[:n]...)
 	}()
 	// Last line of defense: a panic that escapes the per-stage recovery
 	// (e.g. in glue code or a fault hook outside a stage) fails this request
@@ -671,6 +752,19 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		}
 	}
 
+	// Each cache miss this request computes is claimed (Cache.claim), so
+	// concurrent identical misses wait for one computation. A claim is
+	// released as soon as its value is published or will not be; the
+	// deferred release covers every early return.
+	var release func()
+	unclaim := func() {
+		if release != nil {
+			release()
+			release = nil
+		}
+	}
+	defer unclaim()
+
 	// Compile through the pass manager, via the content-addressed memo when
 	// a cache is attached: identical source text (or identically rendering
 	// parsed loops) shares one immutable compilation, trace included. The
@@ -684,7 +778,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 	var srcKey dfg.Fingerprint
 	var compiled *compileEntry
 	if opt.Cache != nil {
-		srcKey = sourceKey(src, opt.compileSalt())
+		srcKey = sourceKey(src, keys.compile)
 	}
 	cspan := opt.Observer.Start(obs.KindStage, stageCompile, rspan)
 	compileCached := false
@@ -695,7 +789,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		opt.Observer.End(&cspan, err, obs.B("cache_hit", compileCached))
 	}
 	if useCache {
-		if v, ok := opt.Cache.Get(srcKey); ok {
+		var v any
+		var ok bool
+		if v, ok, release = opt.Cache.claim(ctx, srcKey); ok {
 			compiled = v.(*compileEntry)
 			compileCached = true
 			metrics.CacheHit()
@@ -743,15 +839,12 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		metrics.LintFindings(int64(len(lint)))
 		de, di, dc := pctx.Analysis.Counts()
 		metrics.ObserveDeps(int64(de), int64(di), int64(dc))
-		compiled = &compileEntry{
-			loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
-			prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
-			lint: lint,
-		}
+		compiled = newCompileEntry(pctx, lint)
 		if opt.Cache != nil {
 			v, _ := opt.Cache.Put(srcKey, compiled)
 			compiled = v.(*compileEntry)
 		}
+		unclaim()
 	}
 	endCompile(nil)
 	res.Loop = compiled.loop
@@ -763,12 +856,10 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 	res.Diags = compiled.diags
 	res.Lint = compiled.lint
 
-	fp := res.Graph.Fingerprint()
-	salt := opt.salt()
-	exSalt := opt.exactSalt(res.N)
-	// The trip-count/window salt of the time cache is constant per request;
-	// format it once instead of per machine.
-	nwSalt := fmt.Sprintf("n=%d w=%d", res.N, opt.Window)
+	fp := compiled.fp
+	salt := keys.sched
+	exSalt := keys.exactSalt(res.N)
+	nwSalt := keys.nwSalt(res.N)
 	res.Machines = make([]MachineResult, len(machines))
 	for k, cfg := range machines {
 		if ctx.Err() != nil {
@@ -794,7 +885,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		}
 		var entry *schedEntry
 		if useCache {
-			if v, ok := opt.Cache.Get(mr.Key); ok {
+			var v any
+			var ok bool
+			if v, ok, release = opt.Cache.claim(ctx, mr.Key); ok {
 				entry = v.(*schedEntry)
 				mr.CacheHit = true
 				metrics.CacheHit()
@@ -811,6 +904,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 					if err := probe(StageSchedule); err != nil {
 						return err
 					}
+					sc := scratch.get()
 					lst, err := sc.List(res.Graph, cfg, opt.Baseline)
 					if err != nil {
 						return err
@@ -973,6 +1067,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 			entry.fillOutcome(mr, res.N)
 			endVerify(nil)
 		}
+		unclaim()
 
 		if ctx.Err() != nil {
 			res.Err = ctxErr(ctx, res.Name, metrics)
@@ -990,7 +1085,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		// results, which depend on the search budget) stay out of the time
 		// cache too — the budget is not part of the key.
 		if useCache && !mr.Degraded && entry.cacheable() {
-			if v, ok := opt.Cache.Get(timeKey); ok {
+			var v any
+			var ok bool
+			if v, ok, release = opt.Cache.claim(ctx, timeKey); ok {
 				times = v.(*timeEntry)
 				timeCached = true
 				metrics.CacheHit()
@@ -1098,6 +1195,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 					times = v.(*timeEntry)
 				}
 			}
+			unclaim()
 		}
 		mr.ListTime, mr.SyncTime, mr.BestTime = times.listTime, times.syncTime, times.bestTime
 		mr.ListUtil, mr.SyncUtil = times.listUtil, times.syncUtil
@@ -1121,7 +1219,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		// non-degraded, cacheable results survive restarts. Failures are
 		// counted by the store and never fail the request.
 		if opt.Disk != nil && !timeCached && !mr.Degraded && entry.cacheable() {
-			persistResult(opt.Disk, res.Name, src, opt, cfg, fp, res.N, entry, times)
+			persistResult(opt.Disk, res.Name, src, keys, cfg, fp, res.N, entry, times)
 		}
 		// Paper-level counters describe the schedule actually served (the
 		// synchronization-aware one, or the fallback standing in for it).
@@ -1148,19 +1246,22 @@ func endSim(sp obs.Span, err error, mr *MachineResult, times *timeEntry, cached 
 	if rec == nil {
 		return
 	}
-	attrs := []obs.Attr{
+	// A fixed array: End copies what it keeps, so the attributes stay on
+	// the stack.
+	attrs := [9]obs.Attr{
 		obs.S("machine", mr.Machine),
 		obs.B("cache_hit", cached),
 		obs.B("degraded", mr.Degraded),
 	}
+	n := 3
 	if times != nil {
-		attrs = append(attrs,
-			obs.I("signals_sent", int64(times.syncSignals)),
-			obs.I("wait_stall_cycles", int64(times.syncStalls)),
-			obs.I("lbd_arcs", int64(times.syncLBD)),
-			obs.I("lfd_arcs", int64(times.syncLFD)),
-			obs.I("sync_cycles", int64(times.syncTime)),
-			obs.I("list_cycles", int64(times.listTime)))
+		attrs[3] = obs.I("signals_sent", int64(times.syncSignals))
+		attrs[4] = obs.I("wait_stall_cycles", int64(times.syncStalls))
+		attrs[5] = obs.I("lbd_arcs", int64(times.syncLBD))
+		attrs[6] = obs.I("lfd_arcs", int64(times.syncLFD))
+		attrs[7] = obs.I("sync_cycles", int64(times.syncTime))
+		attrs[8] = obs.I("list_cycles", int64(times.listTime))
+		n = 9
 	}
-	rec.End(&sp, err, attrs...)
+	rec.End(&sp, err, attrs[:n]...)
 }

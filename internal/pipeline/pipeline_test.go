@@ -311,3 +311,36 @@ func TestInvalidMachine(t *testing.T) {
 		t.Error("invalid machine accepted")
 	}
 }
+
+// TestConcurrentRepeatsComputeOnce: in a parallel cached batch, repeats of
+// a loop wait for its first occurrence and are served from the cache, and
+// requests that only share stages with it (the same loop at another trip
+// count) share those stages — every stage runs once per distinct problem,
+// as in a serial run.
+func TestConcurrentRepeatsComputeOnce(t *testing.T) {
+	other := "DO I = 1, N\nA[I] = A[I-1] + 1\nENDDO"
+	reqs := []Request{
+		{Source: fig1}, {Source: fig1}, {Source: other}, {Source: fig1},
+		{Source: fig1, N: 37}, {Source: other}, {Source: fig1, N: 37}, {Source: fig1},
+	}
+	b, err := Run(reqs, Options{Workers: 8, Machines: dlx.PaperConfigs(), Cache: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	m := len(dlx.PaperConfigs())
+	for stage, want := range map[string]int64{"parse": 2, "schedule": int64(2 * m), "simulate": int64(3 * m)} {
+		if got := b.Stats.Stage(stage).Count; got != want {
+			t.Errorf("%s ran %d times, want %d", stage, got, want)
+		}
+	}
+	for _, i := range []int{1, 3, 5, 6, 7} {
+		for _, mr := range b.Loops[i].Machines {
+			if !mr.CacheHit {
+				t.Errorf("repeat %d on %s not served from the cache", i, mr.Machine)
+			}
+		}
+	}
+}

@@ -123,20 +123,18 @@ func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
 // persistResult writes one fresh, verified, cacheable machine result to the
 // disk tier. Persistence failures are counted by the store and never fail
 // the request — the disk tier is an optimization, not a dependency.
-func persistResult(d *DiskStore, name, src string, opt Options, cfg dlx.Config,
+func persistResult(d *DiskStore, name, src string, keys *salts, cfg dlx.Config,
 	fp dfg.Fingerprint, n int, entry *schedEntry, times *timeEntry) {
-	salt := opt.salt()
-	exSalt := opt.exactSalt(n)
-	nwSalt := fmt.Sprintf("n=%d w=%d", n, opt.Window)
+	exSalt := keys.exactSalt(n)
 	p := diskPayload{
 		Name:        name,
 		Source:      src,
-		CompileSalt: opt.compileSalt(),
-		SchedSalt:   salt,
+		CompileSalt: keys.compile,
+		SchedSalt:   keys.sched,
 		ExactSalt:   exSalt,
 		Machine:     cfg,
 		N:           n,
-		Window:      opt.Window,
+		Window:      keys.window,
 		Backend:     entry.backend,
 		List:        toDisk(entry.list),
 		Sync:        toDisk(entry.sync),
@@ -160,7 +158,7 @@ func persistResult(d *DiskStore, name, src string, opt Options, cfg dlx.Config,
 		return
 	}
 	// Put's error is reflected in the store's WriteErrors counter.
-	_ = d.Put(diskKey(fp, cfg, salt, nwSalt, exSalt), payload)
+	_ = d.Put(diskKey(fp, cfg, keys.sched, keys.nwSalt(n), exSalt), payload)
 }
 
 // LoadStats summarizes one LoadDisk pass.
@@ -217,8 +215,8 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 	if err != nil {
 		return ls, err
 	}
-	compileSalt := opt.compileSalt()
-	schedSalt := opt.salt()
+	salts := newSalts(opt)
+	compileSalt, schedSalt := salts.compile, salts.sched
 	for _, k := range keys {
 		if ctx.Err() != nil {
 			return ls, ctx.Err()
@@ -282,11 +280,7 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			if !opt.Compile.Verify {
 				lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
 			}
-			compiled = &compileEntry{
-				loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
-				prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
-				lint: lint,
-			}
+			compiled = newCompileEntry(pctx, lint)
 			v, _ := cache.Put(srcKey, compiled)
 			compiled = v.(*compileEntry)
 		}
@@ -319,8 +313,8 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		}
 		// Content-address audit: the key recomputed from the entry's own
 		// contents must be the key it was filed under.
-		fp := compiled.graph.Fingerprint()
-		nwSalt := fmt.Sprintf("n=%d w=%d", p.N, p.Window)
+		fp := compiled.fp
+		nwSalt := salts.nwSalt(p.N) // p.Window == opt.Window
 		if diskKey(fp, p.Machine, schedSalt, nwSalt, p.ExactSalt) != k {
 			quarantine()
 			continue

@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"doacross/internal/dlx"
+	"doacross/internal/obs"
+	"doacross/internal/passes"
 	"doacross/internal/pipeline"
 )
 
@@ -122,6 +125,92 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	}
 	if !sawRequest {
 		t.Errorf("no request record for fr-1 in ring (kinds: %v)", kinds)
+	}
+}
+
+// flightSpans returns the span tree of the request record filed under rid
+// in the daemon's flight record.
+func flightSpans(t *testing.T, h http.Handler, rid string) []obs.SpanNode {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/flightrecord", nil))
+	sc := bufio.NewScanner(bytes.NewReader(w.Body.Bytes()))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var rec obs.FlightRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		if rec.Kind == "request" && rec.RequestID == rid && rec.Request != nil {
+			return rec.Request.Spans
+		}
+	}
+	t.Fatalf("no request record for %s in the flight record", rid)
+	return nil
+}
+
+// renderSpans renders a span tree as kind:name(children...), and counts
+// its spans.
+func renderSpans(nodes []obs.SpanNode, count *int) string {
+	var b strings.Builder
+	for i, n := range nodes {
+		*count++
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(n.Kind + ":" + n.Name)
+		if len(n.Children) > 0 {
+			b.WriteString("(" + renderSpans(n.Children, count) + ")")
+		}
+	}
+	return b.String()
+}
+
+// TestFlightRecordSpanTree: the flight record of a served request carries
+// its whole span tree — batch, request, compile with every pass, and
+// schedule/verify/simulate on every machine — on a miss, and the shorter
+// tree of a hit, with no span lost to the per-flight recorder's size.
+func TestFlightRecordSpanTree(t *testing.T) {
+	opt := pipeline.Options{Machines: dlx.PaperConfigs()}
+	s := newTestServer(t, Config{Pipeline: opt})
+	h := s.Handler()
+	var missPasses []string
+	for _, p := range passes.New(opt.Compile).Names() {
+		missPasses = append(missPasses, "pass:"+p)
+	}
+	want := func(miss bool) string {
+		compile := "stage:compile"
+		if miss {
+			compile += "(" + strings.Join(missPasses, " ") + ")"
+		}
+		parts := []string{compile}
+		for range opt.Machines {
+			parts = append(parts, "stage:schedule")
+			if miss {
+				parts = append(parts, "stage:check")
+			}
+			parts = append(parts, "stage:simulate")
+		}
+		return "batch:batch(request:fig1(" + strings.Join(parts, " ") + "))"
+	}
+	for _, tc := range []struct {
+		rid  string
+		miss bool
+	}{{"tree-miss", true}, {"tree-hit", false}} {
+		w, body := post(t, h, ScheduleRequest{Name: "fig1", Source: fig1}, map[string]string{"X-Request-Id": tc.rid})
+		resp := decodeOK(t, w, body)
+		for _, m := range resp.Machines {
+			if m.CacheHit == tc.miss {
+				t.Fatalf("%s: %s cache_hit = %v", tc.rid, m.Machine, m.CacheHit)
+			}
+		}
+		count := 0
+		if got := renderSpans(flightSpans(t, h, tc.rid), &count); got != want(tc.miss) {
+			t.Errorf("%s span tree:\n got %s\nwant %s", tc.rid, got, want(tc.miss))
+		}
+		if tc.miss && count != pipeline.RequestSpans(opt) {
+			t.Errorf("miss recorded %d spans, RequestSpans = %d", count, pipeline.RequestSpans(opt))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -141,7 +142,12 @@ type Server struct {
 	disk    *pipeline.DiskStore
 	metrics *pipeline.Metrics
 
-	flights  pipeline.Group
+	flights pipeline.Group
+	// keys holds the request-key salts of every backend a request may
+	// select, rendered once by New; spans sizes the per-flight span
+	// recorder to the spans one request records.
+	keys     map[string]*pipeline.Keys
+	spans    int
 	limiter  *rateLimiter
 	adm      *admission
 	breakers *breakerSet
@@ -185,6 +191,13 @@ func New(cfg Config) (*Server, error) {
 	s.opt.RequestTimeout = 0 // deadlines are inherited through the flight
 	s.opt.Deadline = 0
 	s.metrics.AttachCache(s.cache)
+	s.spans = pipeline.RequestSpans(s.opt)
+	s.keys = make(map[string]*pipeline.Keys)
+	for _, b := range append(passes.BackendNames(), s.opt.Compile.Backend) {
+		kopt := s.opt
+		kopt.Compile.Backend = b
+		s.keys[b] = pipeline.NewKeys(kopt)
+	}
 	if cfg.DiskDir != "" {
 		disk, err := pipeline.OpenDiskStore(cfg.DiskDir)
 		if err != nil {
@@ -322,9 +335,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-request backend override; fail unknown names before any work.
-	opt := s.opt
+	// Without one the request is served under the daemon's own options,
+	// which are read in place rather than copied.
+	opt := &s.opt
 	if req.Backend != "" {
-		opt.Compile.Backend = req.Backend
+		o := s.opt
+		o.Compile.Backend = req.Backend
+		opt = &o
 	}
 	backend = backendName(opt.Compile.Backend)
 	if _, err := passes.Backend(opt.Compile.Backend, passes.BackendConfig{Sync: opt.Sync, Exact: opt.Compile.Exact}); err != nil {
@@ -394,12 +411,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// batch-level observer is configured, a per-flight span recorder whose
 	// tree lands in the flight record.
 	preq := pipeline.Request{Name: name, Source: req.Source, N: req.N, ID: rid}
-	key := pipeline.RequestKey(preq, opt)
+	key := s.keys[opt.Compile.Backend].Request(preq) // validated above
 	var frec *obs.Recorder
 	v, err, coalesced := s.flights.Do(ctx, key, func(fctx context.Context) (any, error) {
-		fopt := opt
+		fopt := *opt
 		if fopt.Observer == nil {
-			frec = obs.NewRecorder(512)
+			frec = obs.NewTreeRecorder(s.spans)
 			fopt.Observer = frec
 		}
 		b, err := pipeline.RunContext(fctx, []pipeline.Request{preq}, fopt)
@@ -468,7 +485,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	resp := &ScheduleResponse{
 		Name:      res.Name,
 		N:         res.N,
-		Key:       fmt.Sprintf("%x", key[:]),
+		Key:       hex.EncodeToString(key[:]),
 		RequestID: rid,
 		Coalesced: coalesced,
 		Machines:  make([]MachineResult, len(res.Machines)),
@@ -481,7 +498,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Machines[i] = MachineResult{
 			Machine:        m.Machine,
-			Key:            fmt.Sprintf("%x", m.Key[:]),
+			Key:            hex.EncodeToString(m.Key[:]),
 			ListTime:       m.ListTime,
 			SyncTime:       m.SyncTime,
 			BestTime:       m.BestTime,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -111,6 +112,30 @@ func TestScheduleBasic(t *testing.T) {
 	}
 	if second.Key != first.Key || second.Machines[0].SyncTime != m.SyncTime {
 		t.Error("cache hit differs from the cold answer")
+	}
+}
+
+// TestResponseKeysGolden: the response's content addresses are the
+// pipeline's, byte for byte — the request key under the effective backend
+// and the schedule key of each machine — pinned for fig1 under the default
+// options to the values the first daemon served.
+func TestResponseKeysGolden(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	w, body := post(t, h, ScheduleRequest{Name: "fig1", Source: fig1}, nil)
+	resp := decodeOK(t, w, body)
+	if want := "98d49f003398ea7fbbc40016431a1be6fdf1fa471defcfcd57bb05fbb88e84f1"; resp.Key != want {
+		t.Errorf("request key = %s, want %s", resp.Key, want)
+	}
+	if want := "3411b63809c5183df75fc9bb8b5db7a44caa9bb4c02edd89c88f8d37df5bb9da"; resp.Machines[0].Key != want {
+		t.Errorf("schedule key = %s, want %s", resp.Machines[0].Key, want)
+	}
+	w, body = post(t, h, ScheduleRequest{Name: "fig1", Source: fig1, Backend: "list"}, nil)
+	resp = decodeOK(t, w, body)
+	var opt pipeline.Options
+	opt.Compile.Backend = "list"
+	key := pipeline.RequestKey(pipeline.Request{Source: fig1}, opt)
+	if want := hex.EncodeToString(key[:]); resp.Key != want {
+		t.Errorf("list-backend request key = %s, want %s", resp.Key, want)
 	}
 }
 
