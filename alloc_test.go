@@ -122,6 +122,30 @@ func TestPipelineCachedHitAllocs(t *testing.T) {
 	}
 }
 
+// TestPipelineColdAllocs pins the allocation count of one cold request
+// (hotbench.ColdRequest): Fig. 1 compiled, scheduled, verified and
+// simulated from scratch on the paper's four machines, with a fresh cache
+// per run and one worker. Measured at 455 allocs/op. The schedules of a
+// request share one derivation of the verifier's edges; deriving them for
+// every schedule instead costs about 95 more (551), and before the
+// derivation and the per-schedule checks went map-free the request made
+// 902.
+func TestPipelineColdAllocs(t *testing.T) {
+	var failed error
+	got := testing.AllocsPerRun(20, func() {
+		if err := hotbench.ColdRequest(); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	const limit = 500
+	if got > limit {
+		t.Errorf("cold four-machine pipeline request: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
 // TestServerHitAllocs pins what a warm scheduld request costs through the
 // daemon's handler (hotbench.HitServer: Fig. 1 on the paper's four
 // machines, every stage a cache hit): bytes and allocations per request,

@@ -38,6 +38,11 @@ func BenchmarkHotScheduleWarm(b *testing.B) { hotbench.ScheduleWarm(b) }
 // the per-request overhead when every stage after compile is a cache hit.
 func BenchmarkHotPipelineCachedHit(b *testing.B) { hotbench.PipelineCachedHit(b) }
 
+// BenchmarkHotPipelineCold is one cold request through the pipeline: Fig. 1
+// compiled, scheduled, verified and simulated on the paper's four machines
+// with a fresh cache. Its allocations are pinned by TestPipelineColdAllocs.
+func BenchmarkHotPipelineCold(b *testing.B) { hotbench.PipelineCold(b) }
+
 // BenchmarkHotServeHit is a warm scheduld request through the daemon's
 // handler: Fig. 1 on the paper's four machines, every stage a cache hit.
 // Its bytes per request are pinned by TestServerHitAllocs.

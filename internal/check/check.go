@@ -18,6 +18,7 @@ package check
 import (
 	"fmt"
 
+	"doacross/internal/bitset"
 	"doacross/internal/core"
 	"doacross/internal/dep"
 	"doacross/internal/diag"
@@ -42,6 +43,8 @@ const (
 	EdgeSrcToSend
 	// EdgeWaitToSnk is synchronization condition 2: wait → sink access.
 	EdgeWaitToSnk
+
+	numEdgeKinds = iota
 )
 
 // String names the edge kind.
@@ -73,42 +76,66 @@ type Edge struct {
 // edges for every synchronized dependence. It deliberately does not read
 // dfg.Graph.Arcs; the result is the independent ground truth schedules are
 // verified against (and internal/dfg is audited against, in the verify
-// pass).
+// pass). Edges are listed in first-derivation order, each (From, To, Kind)
+// once.
 func Edges(p *tac.Program) ([]Edge, error) {
 	if p == nil || p.Sync == nil || p.Sync.Analysis == nil {
 		return nil, fmt.Errorf("check: program carries no dependence analysis")
 	}
+	n := len(p.Instrs)
 	var out []Edge
-	seen := map[[3]int]bool{}
+	// seen holds one bit per (kind, from, to): a dense matrix, not a map,
+	// because every key is a small index. An edge naming an instruction
+	// outside the program is recorded in bad and fails the derivation.
+	seen := bitset.Make(nil, numEdgeKinds*n*n)
+	var bad error
 	add := func(from, to int, kind EdgeKind) {
+		if from < 0 || from >= n || to < 0 || to >= n {
+			if bad == nil {
+				bad = fmt.Errorf("check: %s edge %d->%d leaves the program's %d instructions", kind, from+1, to+1, n)
+			}
+			return
+		}
 		if from == to {
 			// A self-edge cannot constrain a schedule (the builders skip
 			// them the same way: a reference pair mapping to one
 			// instruction orders itself).
 			return
 		}
-		key := [3]int{from, to, int(kind)}
-		if seen[key] {
+		key := (int(kind)*n+from)*n + to
+		if seen.Has(key) {
 			return
 		}
-		seen[key] = true
+		seen.Set(key)
 		out = append(out, Edge{From: from, To: to, Kind: kind})
 	}
 
-	// Register def-use edges. Temps are single-assignment in this IR.
-	defOf := map[int]int{}
+	// Register def-use edges. Temps are single-assignment in this IR, so a
+	// table indexed by temp number (offset by the lowest one) maps each
+	// temp to its defining instruction.
+	var useBuf [3]int
+	lo, hi := 0, 0
+	for _, in := range p.Instrs {
+		for _, t := range append(in.AppendUses(useBuf[:0]), in.Dst) {
+			lo, hi = min(lo, t), max(hi, t)
+		}
+	}
+	defOf := make([]int, hi-lo+1)
+	for t := range defOf {
+		defOf[t] = -1
+	}
 	for i, in := range p.Instrs {
 		if in.Dst != 0 {
-			if prev, dup := defOf[in.Dst]; dup {
+			if prev := defOf[in.Dst-lo]; prev >= 0 {
 				return nil, fmt.Errorf("check: temp t%d defined twice (instrs %d and %d)", in.Dst, prev+1, i+1)
 			}
-			defOf[in.Dst] = i
+			defOf[in.Dst-lo] = i
 		}
 	}
 	for i, in := range p.Instrs {
-		for _, t := range in.Uses() {
-			d, ok := defOf[t]
-			if !ok {
+		for _, t := range in.AppendUses(useBuf[:0]) {
+			d := defOf[t-lo]
+			if d < 0 {
 				return nil, fmt.Errorf("check: instr %d uses undefined temp t%d", i+1, t)
 			}
 			if d >= i {
@@ -133,6 +160,15 @@ func Edges(p *tac.Program) ([]Edge, error) {
 	}
 
 	// Synchronization-condition edges for every synchronized dependence.
+	// The waits are indexed once; each dependence then searches only them.
+	var waits []int
+	if len(p.Sync.Synced) > 0 {
+		for i, in := range p.Instrs {
+			if in.Op == tac.Wait {
+				waits = append(waits, i)
+			}
+		}
+	}
 	for _, d := range p.Sync.Synced {
 		if d.Src.Stmt < 0 || d.Src.Stmt >= len(p.Sync.Base.Body) {
 			return nil, fmt.Errorf("check: synchronized dependence %v has no source statement", d)
@@ -147,7 +183,7 @@ func Edges(p *tac.Program) ([]Edge, error) {
 			return nil, fmt.Errorf("check: dependence %v source unmapped", d)
 		}
 		add(srcIn.ID-1, send.ID-1, EdgeSrcToSend)
-		wi, ok := waitIndex(p, d.Snk.Stmt, label, d.Distance)
+		wi, ok := waitIndex(p, waits, d.Snk.Stmt, label, d.Distance)
 		if !ok {
 			return nil, fmt.Errorf("check: missing wait for %v", d)
 		}
@@ -156,6 +192,9 @@ func Edges(p *tac.Program) ([]Edge, error) {
 			return nil, fmt.Errorf("check: dependence %v sink unmapped", d)
 		}
 		add(wi, snkIn.ID-1, EdgeWaitToSnk)
+	}
+	if bad != nil {
+		return nil, bad
 	}
 	return out, nil
 }
@@ -174,10 +213,11 @@ func refInstr(p *tac.Program, r dep.Ref) (*tac.Instr, bool) {
 	return in, ok
 }
 
-// waitIndex finds the wait instruction of statement stmt for (signal, dist).
-func waitIndex(p *tac.Program, stmt int, signal string, dist int) (int, bool) {
-	for i, in := range p.Instrs {
-		if in.Op == tac.Wait && in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
+// waitIndex finds, among the program's wait instructions (waits, in program
+// order), the one of statement stmt for (signal, dist).
+func waitIndex(p *tac.Program, waits []int, stmt int, signal string, dist int) (int, bool) {
+	for _, i := range waits {
+		if in := p.Instrs[i]; in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
 			return i, true
 		}
 	}
@@ -193,6 +233,70 @@ func Err(l diag.List) error {
 	return nil
 }
 
+// Verifier verifies the schedules of one compiled program against what it
+// derived from that program once: the dependence edges (Edges) and the
+// synchronization instructions with each wait's send resolved. The
+// schedules built for one program on every machine thus share one
+// derivation instead of repeating it per schedule. A Verifier is read-only
+// after NewVerifier and safe for concurrent use. Callers scope it to the
+// work over one program (a request, a load pass) rather than caching it
+// with the compilation, where it would stay resident for every cached loop.
+type Verifier struct {
+	prog  *tac.Program
+	edges []Edge
+	err   error // the edge derivation's error, reported by Verify
+	syncs syncIndex
+}
+
+// NewVerifier derives what verifying p's schedules needs. A derivation
+// error is not returned here: Verify reports it, exactly where a one-shot
+// Verify does.
+func NewVerifier(p *tac.Program) *Verifier {
+	v := &Verifier{prog: p}
+	v.edges, v.err = Edges(p)
+	if p != nil {
+		v.syncs = indexSyncs(p)
+	}
+	return v
+}
+
+// syncIndex lists a program's synchronization instructions for the
+// deadlock and LBD checks.
+type syncIndex struct {
+	// syncs holds the synchronization instruction indices in program order.
+	syncs []int
+	// pos maps an instruction index to its position in syncs.
+	pos []int
+	// sendOf holds, per syncs entry, the instruction index of a wait's
+	// send: -1 for a send, and for a wait whose signal is never sent.
+	sendOf []int
+}
+
+func indexSyncs(p *tac.Program) syncIndex {
+	k := 0
+	for _, in := range p.Instrs {
+		if in.IsSync() {
+			k++
+		}
+	}
+	slab := make([]int, 2*k+len(p.Instrs))
+	x := syncIndex{syncs: slab[:0:k], sendOf: slab[k : 2*k], pos: slab[2*k:]}
+	for v, in := range p.Instrs {
+		if !in.IsSync() {
+			continue
+		}
+		x.sendOf[len(x.syncs)] = -1
+		if in.Op == tac.Wait {
+			if send := p.SendFor(in.Signal); send != nil {
+				x.sendOf[len(x.syncs)] = send.ID - 1
+			}
+		}
+		x.pos[v] = len(x.syncs)
+		x.syncs = append(x.syncs, v)
+	}
+	return x
+}
+
 // Verify statically verifies a schedule against independently derived
 // dependence edges. It returns positioned diagnostics (stage "check"); an
 // empty Errors() set means the schedule is proven to respect every derived
@@ -201,7 +305,20 @@ func Err(l diag.List) error {
 // be free of cross-iteration deadlock, and to agree with the schedule's
 // own LBD/LFD accounting. Verify never panics, whatever the schedule's
 // shape — it is safe on adversarially mutated inputs.
-func Verify(s *core.Schedule) diag.List {
+//
+// Verify derives the edges for this one call; a caller verifying several
+// schedules of one program uses a Verifier, whose diagnostics are
+// identical.
+func Verify(s *core.Schedule) diag.List { return verify(s, nil) }
+
+// Verify is the package-level Verify using the verifier's shared edges
+// when s is a schedule of the verifier's program. A schedule of any other
+// program is verified against a fresh derivation from its own program.
+func (v *Verifier) Verify(s *core.Schedule) diag.List { return verify(s, v) }
+
+// verify checks s against v's derivation when s is a schedule of v's
+// program, and against a fresh derivation from s.Prog otherwise.
+func verify(s *core.Schedule, v *Verifier) diag.List {
 	var out diag.List
 	fail := func(pos diag.Pos, stmt string, format string, args ...any) {
 		d := diag.Errorf(Stage, pos, format, args...)
@@ -235,8 +352,12 @@ func Verify(s *core.Schedule) diag.List {
 		fail(diag.Pos{}, "", "schedule covers %d of %d instructions", len(s.Cycle), n)
 		return out
 	}
-	rowPos := make([]int, n) // issue order within the row
-	seen := make([]bool, n)
+	// rowPos is each instruction's issue order within its row, -1 while
+	// the instruction has not been seen in any row.
+	rowPos := make([]int, n)
+	for v := range rowPos {
+		rowPos[v] = -1
+	}
 	shapeOK := true
 	for c, row := range s.Rows {
 		if len(row) > s.Cfg.Issue {
@@ -249,13 +370,12 @@ func Verify(s *core.Schedule) diag.List {
 				shapeOK = false
 				continue
 			}
-			if seen[v] {
+			if rowPos[v] >= 0 {
 				p, st := pos(v)
 				fail(p, st, "instruction %d scheduled twice", s.Prog.Instrs[v].ID)
 				shapeOK = false
 				continue
 			}
-			seen[v] = true
 			rowPos[v] = k
 			if s.Cycle[v] != c {
 				p, st := pos(v)
@@ -265,7 +385,7 @@ func Verify(s *core.Schedule) diag.List {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if !seen[v] {
+		if rowPos[v] < 0 {
 			p, st := pos(v)
 			fail(p, st, "instruction %d (%v) never scheduled", s.Prog.Instrs[v].ID, s.Prog.Instrs[v])
 			shapeOK = false
@@ -280,12 +400,14 @@ func Verify(s *core.Schedule) diag.List {
 	// Derived dependence edges with latencies. Synchronization-condition
 	// violations get their own message so condition 1 and 2 findings are
 	// recognizable.
-	edges, err := Edges(s.Prog)
-	if err != nil {
-		fail(diag.Pos{}, "", "%v", err)
+	if v == nil || v.prog != s.Prog {
+		v = NewVerifier(s.Prog)
+	}
+	if v.err != nil {
+		fail(diag.Pos{}, "", "%v", v.err)
 		return out
 	}
-	for _, e := range edges {
+	for _, e := range v.edges {
 		if s.Cycle[e.To] >= s.Cycle[e.From]+lat(e.From) {
 			continue
 		}
@@ -312,20 +434,17 @@ func Verify(s *core.Schedule) diag.List {
 			horizon = end
 		}
 	}
-	occupancy := map[dlx.Class][]int{}
+	// occ[cls*horizon+c] counts the class-cls units busy in cycle c.
+	occ := make([]int, int(dlx.NumClasses)*horizon)
 	for v := 0; v < n; v++ {
 		cls := s.Prog.Instrs[v].Class()
 		if !dlx.NeedsUnit(cls) {
 			continue
 		}
-		occ := occupancy[cls]
-		if occ == nil {
-			occ = make([]int, horizon)
-			occupancy[cls] = occ
-		}
+		row := occ[int(cls)*horizon:]
 		for c := s.Cycle[v]; c < s.Cycle[v]+lat(v); c++ {
-			occ[c]++
-			if occ[c] == s.Cfg.Units[cls]+1 {
+			row[c]++
+			if row[c] == s.Cfg.Units[cls]+1 {
 				// Report each oversubscribed (class, cycle) once.
 				p, st := pos(v)
 				fail(p, st, "cycle %d oversubscribes %s units (%d available)", c, cls, s.Cfg.Units[cls])
@@ -333,8 +452,8 @@ func Verify(s *core.Schedule) diag.List {
 		}
 	}
 
-	out = append(out, verifyDeadlockFree(s, rowPos)...)
-	out = append(out, verifyLBDAccounting(s)...)
+	out = append(out, verifyDeadlockFree(s, rowPos, &v.syncs)...)
+	out = append(out, verifyLBDAccounting(s, &v.syncs)...)
 	return out
 }
 
@@ -354,30 +473,28 @@ func Verify(s *core.Schedule) diag.List {
 // Positive distances alone make every cycle positive, so organic schedules
 // pass; a distance-0 or negative wait whose send sits at or after it is
 // caught here.
-func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
+func verifyDeadlockFree(s *core.Schedule, rowPos []int, si *syncIndex) diag.List {
 	var out diag.List
-	var syncs []int
-	for v, in := range s.Prog.Instrs {
-		if in.IsSync() {
-			syncs = append(syncs, v)
-		}
-	}
+	syncs := si.syncs
 	if len(syncs) == 0 {
 		return nil
-	}
-	idx := map[int]int{}
-	for i, v := range syncs {
-		idx[v] = i
 	}
 	type arc struct {
 		from, to, w int
 	}
-	var arcs []arc
+	// Each wait has one arc to its send and at most one stall arc from
+	// every other synchronization instruction.
+	waits := 0
+	for i, v := range syncs {
+		if s.Prog.Instrs[v].Op == tac.Wait && si.sendOf[i] >= 0 {
+			waits++
+		}
+	}
+	arcs := make([]arc, 0, waits*len(syncs))
 	for i, v := range syncs {
 		in := s.Prog.Instrs[v]
 		if in.Op == tac.Wait {
-			send := s.Prog.SendFor(in.Signal)
-			if send == nil {
+			if si.sendOf[i] < 0 {
 				st := ""
 				p := diag.Pos{}
 				if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
@@ -391,7 +508,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 				out = append(out, d)
 				continue
 			}
-			arcs = append(arcs, arc{from: i, to: idx[send.ID-1], w: in.SigDist})
+			arcs = append(arcs, arc{from: i, to: si.pos[si.sendOf[i]], w: in.SigDist})
 			// Same-iteration stall arcs into this wait.
 			for j, x := range syncs {
 				if x == v {
@@ -410,8 +527,8 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	// and subtract 1 per arc, then any such cycle (and only such a cycle)
 	// is strictly negative; Bellman-Ford from an implicit all-zero source.
 	k := len(arcs) + 1
-	dist := make([]int, len(syncs))
-	pred := make([]int, len(syncs))
+	buf := make([]int, 2*len(syncs))
+	dist, pred := buf[:len(syncs)], buf[len(syncs):]
 	for i := range pred {
 		pred[i] = -1
 	}
@@ -468,19 +585,16 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 // checks the schedule's own NumLBD/MaxLBDStall — the inputs of the LBD
 // loop theorem T = (n/d)(i-j) + l. A divergence means the cost model is
 // being fed a misclassified schedule.
-func verifyLBDAccounting(s *core.Schedule) diag.List {
+func verifyLBDAccounting(s *core.Schedule, si *syncIndex) diag.List {
 	var out diag.List
 	lbd := 0
 	worst := 0.0
-	for v, in := range s.Prog.Instrs {
-		if in.Op != tac.Wait {
-			continue
+	for i, v := range si.syncs {
+		in := s.Prog.Instrs[v]
+		if in.Op != tac.Wait || si.sendOf[i] < 0 {
+			continue // a send, or a wait the deadlock check reports
 		}
-		send := s.Prog.SendFor(in.Signal)
-		if send == nil {
-			continue // reported by the deadlock check
-		}
-		span := s.Cycle[send.ID-1] - s.Cycle[v]
+		span := s.Cycle[si.sendOf[i]] - s.Cycle[v]
 		if span < 0 {
 			continue // LFD in the schedule
 		}

@@ -5,6 +5,8 @@ import (
 
 	"doacross"
 	"doacross/internal/check"
+	"doacross/internal/core"
+	"doacross/internal/diag"
 )
 
 // fuzzCorpus are the loops FuzzVerify mutates schedules of. Fuzzing varies
@@ -17,10 +19,11 @@ var fuzzCorpus = []string{
 	"DO I = 1, N\n  S1: A[I] = B[I-3] / C[I]\n  S2: B[I] = A[I-2] * A[I-1]\nENDDO",
 }
 
-// FuzzVerify checks two properties of the verifier under arbitrary
-// schedule mutations: it never panics, and any mutation that breaks a
-// derived dependence edge is flagged (mutation kill). The unmutated
-// schedule must always be accepted.
+// FuzzVerify checks three properties of the verifier under arbitrary
+// schedule mutations: it never panics, any mutation that breaks a derived
+// dependence edge is flagged (mutation kill), and a Verifier sharing the
+// program's edges reports exactly what the one-shot Verify reports. The
+// unmutated schedule must always be accepted.
 func FuzzVerify(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(1), uint16(2), uint16(7))
 	f.Add(uint8(1), uint8(1), uint16(9), uint16(0), uint16(3))
@@ -38,7 +41,14 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("schedule: %v", err)
 		}
-		if l := check.Verify(s); check.Err(l) != nil {
+		v := check.NewVerifier(p.Code)
+		verify := func(what string, s *core.Schedule) diag.List {
+			t.Helper()
+			l := check.Verify(s)
+			sameDiags(t, what, v.Verify(s), l)
+			return l
+		}
+		if l := verify("organic", s); check.Err(l) != nil {
 			t.Fatalf("organic schedule rejected:\n%s", l)
 		}
 
@@ -57,14 +67,14 @@ func FuzzVerify(f *testing.F) {
 			mut.Cycle[next()%n] = next()
 		}
 		rebuildRows(mut)
-		_ = check.Verify(mut)
+		_ = verify("arbitrary mutation", mut)
 
 		// Deletion mutation: always flagged.
 		if n > 1 {
 			mut = cloneSchedule(s)
 			mut.Cycle = mut.Cycle[:n-1-int(a)%(n-1)]
 			rebuildRows(mut)
-			if check.Err(check.Verify(mut)) == nil {
+			if check.Err(verify("truncation", mut)) == nil {
 				t.Fatal("truncated schedule accepted")
 			}
 		}
@@ -80,7 +90,7 @@ func FuzzVerify(f *testing.F) {
 			mut = cloneSchedule(s)
 			mut.Cycle[e.To] = mut.Cycle[e.From]
 			rebuildRows(mut)
-			if check.Err(check.Verify(mut)) == nil {
+			if check.Err(verify("broken edge", mut)) == nil {
 				t.Fatalf("broken %v edge %d->%d accepted", e.Kind, e.From, e.To)
 			}
 		}

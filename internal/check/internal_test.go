@@ -114,7 +114,8 @@ func TestDeadlockDetection(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s, rowPos := syncSchedule(c.instrs, c.cycles)
-			l := verifyDeadlockFree(s, rowPos)
+			si := indexSyncs(s.Prog)
+			l := verifyDeadlockFree(s, rowPos, &si)
 			if got := len(l.Errors()) > 0; got != c.deadlock {
 				t.Errorf("deadlock = %v, want %v; diagnostics:\n%s", got, c.deadlock, l)
 			}
@@ -127,7 +128,8 @@ func TestDeadlockReportNamesCycle(t *testing.T) {
 		{Op: tac.Wait, Signal: "S1", SigDist: 0},
 		{Op: tac.Send, Signal: "S1"},
 	}, []int{0, 1})
-	l := verifyDeadlockFree(s, rowPos)
+	si := indexSyncs(s.Prog)
+	l := verifyDeadlockFree(s, rowPos, &si)
 	if len(l.Errors()) == 0 {
 		t.Fatal("no deadlock reported")
 	}

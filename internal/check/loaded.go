@@ -4,7 +4,7 @@
 // checksum only proves "these are the bytes that were written" — it cannot
 // prove the bytes were right when written, that the store's key still maps
 // to this scheduling problem, or that a tampered file was not re-framed
-// with a fresh checksum. VerifyLoaded therefore re-runs the full
+// with a fresh checksum. Verifier.VerifyLoaded therefore re-runs the full
 // translation-validation pipeline over a deserialized schedule set exactly
 // as if the schedules had just been produced by an untrusted scheduler:
 // nothing restored from disk is ever served on the strength of its
@@ -24,11 +24,13 @@ import (
 // (sync) schedule passes the timing audit (VerifyTiming) at the recorded
 // trip count. An empty Errors() set means the restored entry is as
 // trustworthy as a freshly computed one; any error means the bytes must be
-// quarantined, not served.
+// quarantined, not served. Schedules of the verifier's program share its
+// edges, so every entry of one loop restored in a load pass shares one
+// derivation.
 //
 // Like Verify, VerifyLoaded never panics, whatever shape the deserialized
 // schedules are in — it is safe on adversarially mutated inputs.
-func VerifyLoaded(list, sync, best *core.Schedule, syncTime, n int) diag.List {
+func (v *Verifier) VerifyLoaded(list, sync, best *core.Schedule, syncTime, n int) diag.List {
 	var out diag.List
 	if sync == nil {
 		out = append(out, diag.Errorf(Stage, diag.Pos{},
@@ -39,7 +41,7 @@ func VerifyLoaded(list, sync, best *core.Schedule, syncTime, n int) diag.List {
 		if s == nil {
 			continue
 		}
-		out = append(out, Verify(s)...)
+		out = append(out, v.Verify(s)...)
 	}
 	if Err(out) == nil {
 		out = append(out, VerifyTiming(sync, syncTime, n)...)

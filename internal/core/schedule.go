@@ -168,7 +168,8 @@ func (s *Schedule) PairSpansAppend(dst []PairSpan) []PairSpan {
 // NumLBD returns the number of synchronization pairs that remain LBD.
 func (s *Schedule) NumLBD() int {
 	n := 0
-	for _, p := range s.PairSpans() {
+	var buf [16]PairSpan
+	for _, p := range s.PairSpansAppend(buf[:0]) {
 		if p.LBD() {
 			n++
 		}
@@ -181,7 +182,8 @@ func (s *Schedule) NumLBD() int {
 // max(span/d). This is the slope of the parallel execution time in n.
 func (s *Schedule) MaxLBDStall() float64 {
 	worst := 0.0
-	for _, p := range s.PairSpans() {
+	var buf [16]PairSpan
+	for _, p := range s.PairSpansAppend(buf[:0]) {
 		if !p.LBD() {
 			continue
 		}

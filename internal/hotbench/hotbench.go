@@ -192,6 +192,32 @@ func PipelineCachedHit(b *testing.B) {
 	}
 }
 
+// PipelineCold is the cold request: Fig. 1 compiled, scheduled, verified
+// and simulated on the paper's four machines through a fresh cache and one
+// worker, so every stage does its work (ColdRequest). Its allocations are
+// pinned by TestPipelineColdAllocs at the repo root.
+func PipelineCold(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ColdRequest(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ColdRequest runs one PipelineCold request.
+func ColdRequest() error {
+	batch, err := pipeline.Run([]pipeline.Request{{Name: "cold", Source: Fig1, N: N}}, doacross.BatchOptions{
+		Workers:  1,
+		Machines: doacross.PaperMachines(),
+		Cache:    doacross.NewScheduleCache(),
+	})
+	if err != nil {
+		return err
+	}
+	return batch.FirstErr()
+}
+
 // HitServer builds an in-memory scheduld serving the paper's four machines
 // at N, warms it with one Fig. 1 request, and returns a function that
 // serves one more identical POST /v1/schedule through the daemon's handler
@@ -396,6 +422,7 @@ var workloads = []struct {
 	{"BenchmarkHotCompileSchedule", CompileSchedule},
 	{"BenchmarkHotScheduleWarm", ScheduleWarm},
 	{"BenchmarkHotPipelineCachedHit", PipelineCachedHit},
+	{"BenchmarkHotPipelineCold", PipelineCold},
 	{"BenchmarkHotServeHit", ServeHit},
 	{"BenchmarkHotSim/untraced", SimUntraced},
 	{"BenchmarkHotSim/traced", SimTraced},

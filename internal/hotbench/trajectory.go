@@ -1,6 +1,7 @@
 package hotbench
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,8 +63,17 @@ func LoadTrajectory(path string) (*Trajectory, error) {
 
 // Append adds one snapshot point built from whichever documents are
 // non-nil, numbering it after the last entry. Documents must be valid JSON
-// (they are embedded verbatim).
+// (they are embedded verbatim). A hotpath document identical to the last
+// entry's, up to JSON whitespace, is refused: benchmark numbers are never
+// byte-identical across two measurements, so it was copied forward rather
+// than measured.
 func (t *Trajectory) Append(hotpath, exactGap, machineUtil, depPrecision []byte) error {
+	if n := len(t.Entries); n > 0 && hotpath != nil && t.Entries[n-1].Hotpath != nil &&
+		sameCompact(hotpath, t.Entries[n-1].Hotpath) {
+		return fmt.Errorf("trajectory: hotpath snapshot is byte-identical to entry %d's; "+
+			"re-measure it (go run ./cmd/report -hotpath-json BENCH_hotpath.json -hotpath-only) instead of copying it forward",
+			t.Entries[n-1].Seq)
+	}
 	snap := TrajectorySnapshot{Seq: len(t.Entries) + 1}
 	for _, d := range []struct {
 		name string
@@ -85,6 +95,16 @@ func (t *Trajectory) Append(hotpath, exactGap, machineUtil, depPrecision []byte)
 	}
 	t.Entries = append(t.Entries, snap)
 	return nil
+}
+
+// sameCompact reports whether two JSON documents are byte-identical once
+// insignificant whitespace is removed (Save re-indents embedded documents).
+func sameCompact(a, b []byte) bool {
+	var ca, cb bytes.Buffer
+	if json.Compact(&ca, a) != nil || json.Compact(&cb, b) != nil {
+		return false
+	}
+	return bytes.Equal(ca.Bytes(), cb.Bytes())
 }
 
 // Save writes the trajectory as indented JSON.

@@ -99,3 +99,39 @@ func TestTrajectoryFutureVersionFails(t *testing.T) {
 		t.Fatalf("future schema version: err = %v, want newer-version error", err)
 	}
 }
+
+// TestTrajectoryRefusesCopiedHotpath appends a hotpath snapshot identical
+// to the previous entry's (as a saved and reloaded trajectory holds it,
+// re-indented): the append must fail and leave the trajectory unchanged.
+// A re-measured snapshot, or an entry without one, is accepted.
+func TestTrajectoryRefusesCopiedHotpath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trajectory.json")
+	tr, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := []byte(`{"rows": [{"bench": "b", "ns_op": 1}]}`)
+	if err := tr.Append(hot, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = back.Append([]byte(`{"rows":[{"bench":"b","ns_op":1}]}`), []byte(`{"rows":[]}`), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "byte-identical to entry 1") {
+		t.Fatalf("copied hotpath: err = %v, want a byte-identical refusal naming entry 1", err)
+	}
+	if len(back.Entries) != 1 {
+		t.Fatalf("refused append still added an entry: %d entries", len(back.Entries))
+	}
+	if err := back.Append([]byte(`{"rows":[{"bench":"b","ns_op":2}]}`), nil, nil, nil); err != nil {
+		t.Fatalf("re-measured hotpath refused: %v", err)
+	}
+	if err := back.Append(nil, []byte(`{"rows":[]}`), nil, nil); err != nil {
+		t.Fatalf("entry without a hotpath refused: %v", err)
+	}
+}

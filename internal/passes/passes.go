@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 
+	"doacross/internal/bitset"
 	"doacross/internal/check"
 	"doacross/internal/dep"
 	"doacross/internal/dfg"
@@ -264,12 +265,14 @@ func (verifyPass) Run(ctx *Context) error {
 		return diag.Errorf(check.Stage, ctx.Loop.Pos(), "%v", err)
 	}
 	ctx.VerifyEdges = len(edges)
-	present := make(map[[2]int]bool, len(ctx.Graph.Arcs))
+	// present holds one bit per (from, to) instruction pair with an arc.
+	n := len(ctx.Code.Instrs)
+	present := bitset.Make(nil, n*n)
 	for _, a := range ctx.Graph.Arcs {
-		present[[2]int{a.From, a.To}] = true
+		present.Set(a.From*n + a.To)
 	}
 	for _, e := range edges {
-		if !present[[2]int{e.From, e.To}] {
+		if !present.Has(e.From*n + e.To) {
 			return diag.Errorf(check.Stage, ctx.Loop.Pos(),
 				"dfg audit: derived %s edge %d->%d missing from the data-flow graph", e.Kind, e.From+1, e.To+1)
 		}

@@ -55,3 +55,23 @@ ENDDO`
 		t.Error("no lint findings recorded in the context")
 	}
 }
+
+// TestVerifyPassRejectsMissingArc drops each data-flow graph arc in turn:
+// every arc of Fig. 1 carries a derived edge, so the audit must fail.
+func TestVerifyPassRejectsMissingArc(t *testing.T) {
+	ctx, err := Compile(fig1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (verifyPass{}).Run(ctx); err != nil {
+		t.Fatalf("audit rejected the built graph: %v", err)
+	}
+	arcs := ctx.Graph.Arcs
+	for i, a := range arcs {
+		ctx.Graph.Arcs = append(arcs[:i:i], arcs[i+1:]...)
+		err := (verifyPass{}).Run(ctx)
+		if err == nil || !strings.Contains(err.Error(), "dfg audit") {
+			t.Errorf("arc %d->%d dropped: err = %v, want a dfg audit failure", a.From+1, a.To+1, err)
+		}
+	}
+}

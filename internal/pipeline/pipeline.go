@@ -860,6 +860,11 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 	salt := keys.sched
 	exSalt := keys.exactSalt(res.N)
 	nwSalt := keys.nwSalt(res.N)
+	// ver verifies every schedule this request builds for the loop, on
+	// every machine, against one derivation of the program's edges. It is
+	// made at the first fresh schedule (a cache hit never verifies) and
+	// dies with the request: it is never cached with the compilation.
+	var ver *check.Verifier
 	res.Machines = make([]MachineResult, len(machines))
 	for k, cfg := range machines {
 		if ctx.Err() != nil {
@@ -1005,6 +1010,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		// cache, so cache hits serve schedules that already passed and skip
 		// the stage.
 		if fresh {
+			if ver == nil {
+				ver = check.NewVerifier(compiled.prog)
+			}
 			vspan := opt.Observer.Start(obs.KindStage, StageVerify, rspan)
 			endVerify := func(err error) {
 				if opt.Observer == nil {
@@ -1022,7 +1030,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 						if s == nil {
 							continue
 						}
-						if err := check.Err(check.Verify(s)); err != nil {
+						if err := check.Err(ver.Verify(s)); err != nil {
 							return err
 						}
 					}
@@ -1040,7 +1048,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 				}
 				fb, ferr := fallbackSchedule(res.Graph, cfg)
 				if ferr == nil {
-					ferr = check.Err(check.Verify(fb))
+					ferr = check.Err(ver.Verify(fb))
 				}
 				if ferr != nil {
 					res.Err = fmt.Errorf("pipeline: verify %s on %s: %v (fallback failed: %w)",
@@ -1153,7 +1161,10 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 				// independent verifier before being served.
 				fb, ferr := fallbackSchedule(res.Graph, cfg)
 				if ferr == nil {
-					ferr = check.Err(check.Verify(fb))
+					if ver == nil {
+						ver = check.NewVerifier(compiled.prog)
+					}
+					ferr = check.Err(ver.Verify(fb))
 				}
 				var ft sim.Timing
 				if ferr == nil {

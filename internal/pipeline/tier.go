@@ -87,7 +87,7 @@ func toDisk(s *core.Schedule) *diskSchedule {
 // rebuild reconstructs a core.Schedule from its persisted rows over a
 // freshly recompiled program and graph. It validates only the indexing
 // shape needed to build the struct; semantic verification is
-// check.VerifyLoaded's job.
+// check.Verifier.VerifyLoaded's job.
 func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
 	n := len(prog.Prog.Instrs)
 	cycle := make([]int, n)
@@ -193,9 +193,11 @@ func (ls LoadStats) String() string {
 //  3. The loop source is recompiled through the pass manager (sharing
 //     compilations via cache) and the persisted issue rows are rebuilt
 //     into schedules over the fresh program and graph.
-//  4. The rebuilt set passes check.VerifyLoaded — the same independent
-//     verifier fresh schedules must pass — including the timing audit of
-//     the persisted simulated times.
+//  4. The rebuilt set passes check.Verifier.VerifyLoaded — the same
+//     independent verifier fresh schedules must pass — including the
+//     timing audit of the persisted simulated times. Every entry of one
+//     loop is checked against one derivation of its edges, held for this
+//     load pass only.
 //  5. The entry's recomputed content address must equal the key it was
 //     stored under, so an entry cannot impersonate another problem.
 //
@@ -217,6 +219,9 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 	}
 	salts := newSalts(opt)
 	compileSalt, schedSalt := salts.compile, salts.sched
+	// One verifier per compiled program, shared by all of its entries and
+	// dropped when the pass ends (never stored in the compile entry).
+	verifiers := map[*compileEntry]*check.Verifier{}
 	for _, k := range keys {
 		if ctx.Err() != nil {
 			return ls, ctx.Err()
@@ -307,7 +312,12 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		}
 		// Independent semantic verification: the restored schedules must
 		// pass exactly the checks fresh ones do, timing audit included.
-		if err := check.Err(check.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)); err != nil {
+		ver := verifiers[compiled]
+		if ver == nil {
+			ver = check.NewVerifier(compiled.prog)
+			verifiers[compiled] = ver
+		}
+		if err := check.Err(ver.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)); err != nil {
 			quarantine()
 			continue
 		}

@@ -10,6 +10,7 @@ package pipeline
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -183,5 +184,25 @@ ENDDO`
 	}
 	if b2.Stats.LintFindings != 0 {
 		t.Errorf("cache hit recounted %d lint findings", b2.Stats.LintFindings)
+	}
+}
+
+// TestVerifierNotCached: the verifier's derived edges live as long as the
+// request or load pass that derived them. No cache entry type has a field
+// that could retain them, so the cache's resident size is unchanged by
+// edge sharing.
+func TestVerifierNotCached(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf((*check.Verifier)(nil)): true,
+		reflect.TypeOf(check.Verifier{}):       true,
+		reflect.TypeOf([]check.Edge(nil)):      true,
+	}
+	for _, entry := range []any{compileEntry{}, schedEntry{}, timeEntry{}} {
+		typ := reflect.TypeOf(entry)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); banned[f.Type] {
+				t.Errorf("%s.%s (%s) retains verifier state in the cache", typ.Name(), f.Name, f.Type)
+			}
+		}
 	}
 }
