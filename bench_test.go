@@ -12,7 +12,7 @@ package doacross
 //	BenchmarkTable1              Table 1 — suite characteristics
 //	BenchmarkTable2              Table 2 — parallel times, 4 configs
 //	BenchmarkTable3              Table 3 — improvement percentages
-//	BenchmarkSimFidelity         detailed vs recurrence simulator
+//	BenchmarkSimFidelity         timing alone vs executing the loop
 //	BenchmarkAblation*           design-choice ablations
 import (
 	"testing"
@@ -179,9 +179,10 @@ func BenchmarkTable3(b *testing.B) {
 	b.ReportMetric(r.Summary4Issue, "mean-improvement-4issue-%")
 }
 
-// BenchmarkSimFidelity compares the two simulator engines on the same
-// schedule: the detailed executing simulator must produce the identical
-// cycle count the recurrence model computes, at higher cost.
+// BenchmarkSimFidelity prices execution on the same schedule: "recurrence"
+// is the untraced timing model alone, "detailed" is Execute, which traces
+// the same model and replays every row's instructions against a store at
+// the traced issue cycles. Both must report the same cycle count.
 func BenchmarkSimFidelity(b *testing.B) {
 	prog := MustCompile(fig1)
 	s, err := prog.ScheduleSync(Machine4Issue(1))

@@ -372,8 +372,9 @@ func SimulateOptions(s *Schedule, opt SimOptions) (Timing, error) {
 	return sim.Time(s, opt)
 }
 
-// Execute runs the detailed simulator against the store (mutating it) and
-// returns the timing. The store must define the loop bounds' scalars (e.g.
+// Execute runs the loop on the simulated multiprocessor against the store
+// (mutating it), replaying its instructions at the issue cycles
+// SimulateOptions computes, and returns the timing. The store must define the loop bounds' scalars (e.g.
 // N); use SeedStore for synthetic data.
 func Execute(s *Schedule, st *Store, opt SimOptions) (Timing, error) {
 	return sim.Run(s, st, opt)

@@ -84,7 +84,8 @@ func (sc *timeScratch) intern(sig string) int {
 }
 
 // build lowers the schedule's synchronization structure into the scratch
-// form (the allocation-free analogue of newRowMeta).
+// form without allocating once the buffers have grown. It rejects a wait
+// whose signal is never sent.
 func (sc *timeScratch) build(s *core.Schedule) error {
 	L := s.Length()
 	clear(sc.sigID)
@@ -182,7 +183,7 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 		consCnt[i] = consCnt[i-1]
 	}
 	consCnt[0] = 0
-	// Every wait needs a send, reported in row order like newRowMeta.
+	// Every wait needs a send; the first orphan in row order is reported.
 	for e := 0; e < E; e++ {
 		for k := waitOff[e]; k < waitOff[e+1]; k++ {
 			if sendRow[waitSig[k]] == -1 {
@@ -218,7 +219,9 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 	return nil
 }
 
-// checkWindow is rowMeta.checkWindow over the interned form.
+// checkWindow rejects a bounded signal window that would deadlock: one
+// below the largest dependence distance, or one equal to the distance of an
+// LFD pair, whose send would then wait for its own iteration's wait.
 func (sc *timeScratch) checkWindow(window int) error {
 	if window <= 0 {
 		return nil
@@ -236,8 +239,8 @@ func (sc *timeScratch) checkWindow(window int) error {
 	return nil
 }
 
-// run is the recurrence model over scratch state; it produces timings
-// bit-identical to the pre-scratch row-by-row implementation.
+// run is the recurrence model over scratch state. With opt.MaxCycles > 0 it
+// fails if any row would issue after that cycle.
 func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 	if err := sc.build(s); err != nil {
 		return Timing{}, err
@@ -275,8 +278,13 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 	ringSize := (depth + 1) * stride
 	ring := growIntBuf(&sc.ring, ringSize)
 	base := 0
+	// Under a cycle budget: how many iterations issue their last row after
+	// cycle MaxCycles, and the first such iteration on each processor (the
+	// one it is blocked on).
+	unfinished := 0
+	var blocked []int
 	for idx := 0; idx < n; idx++ {
-		start := 0
+		start, prevLast := 0, -1
 		if idx >= procs {
 			// Processor reuse: the previous iteration on this processor must
 			// have issued its last row.
@@ -284,7 +292,8 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 			if pb < 0 {
 				pb += ringSize
 			}
-			start = ring[pb+E] + 1
+			prevLast = ring[pb+E]
+			start = prevLast + 1
 		}
 		if tr != nil {
 			it := &tr.Iters[idx]
@@ -354,6 +363,12 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 			last = ring[base+E-1] + (L - 1 - int(sc.evRow[E-1]))
 		}
 		ring[base+E] = last
+		if opt.MaxCycles > 0 && last > opt.MaxCycles {
+			unfinished++
+			if prevLast <= opt.MaxCycles {
+				blocked = append(blocked, opt.Lo+idx)
+			}
+		}
 		// First-row issue time and completion horizon.
 		issue0 := start
 		if E > 0 && sc.evRow[0] == 0 {
@@ -403,18 +418,21 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 			base = 0
 		}
 	}
+	if unfinished > 0 {
+		return Timing{}, fmt.Errorf("sim: cycle budget %d exhausted (%d iterations unfinished; blocked iterations %v)",
+			opt.MaxCycles, unfinished, blocked)
+	}
 	if tr != nil {
 		tr.Timing = t
 	}
 	return t, nil
 }
 
-// attributeStalls is the recurrence engine's twin of rowMeta.attributeStalls:
-// at an event row that stalled (earliest > unconstrained), re-scan the same
-// constraints in the same order to split [unconstrained, earliest) into the
-// binding synchronization wait and the bounded-window gate. The scans mirror
-// the issue-time computation exactly, so both engines attribute bit-identical
-// spans.
+// attributeStalls splits the stall of an event row (earliest >
+// unconstrained) into attributed spans: it re-scans the constraints of the
+// issue-time computation in the same order, so [unconstrained, earliest) is
+// covered first by the binding synchronization wait (the latest send the
+// row waited on) and then by the bounded-window gate.
 func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained, earliest int, opt Options, ring []int, base, stride, ringSize int) {
 	syncTo := unconstrained
 	bind := int32(-1)

@@ -3,21 +3,19 @@
 // shared-memory multiprocessor, one iteration per superscalar processor,
 // synchronized through a shared signal vector.
 //
-// Two engines are provided:
+// Time is the timing model. Each processor issues schedule rows in order,
+// one row per cycle; a row containing Wait_Signal(S, i−d) cannot issue
+// before iteration i−d's Send_Signal(S) has issued and become visible (one
+// cycle later), and under a bounded signal window a send cannot issue before
+// every consumer of the slot it overwrites has issued.
 //
-//   - Time: a fast recurrence model that computes issue times analytically.
-//     Each processor issues schedule rows in order, one row per cycle; a row
-//     containing Wait_Signal(S, i−d) cannot issue before iteration i−d's
-//     Send_Signal(S) has issued and become visible (one cycle later).
-//   - Run: a detailed cycle-stepped simulator that additionally *executes*
-//     the instructions against a shared memory store, setting and testing
-//     real signals. Its final memory is compared against sequential
-//     execution by the differential tests, which is the strongest evidence
-//     that scheduling plus synchronization preserved the loop's meaning. Its
-//     timing is bit-identical to Time's by construction, which the tests
-//     also verify.
+// Run executes the loop on that timing: it replays every row's instructions
+// against a shared memory store at the cycle Time says the row issues. Its
+// final memory is compared against sequential execution by the differential
+// tests, which is the strongest evidence that scheduling plus
+// synchronization preserved the loop's meaning.
 //
-// Both engines support fewer processors than iterations (blocked cyclic
+// Fewer processors than iterations are supported (blocked cyclic
 // assignment: processor p runs iterations p, p+P, ...), defaulting to the
 // paper's assumption of n processors for n iterations.
 package sim
@@ -45,16 +43,14 @@ type Options struct {
 	// paper's idealized assumption). A window smaller than the largest
 	// dependence distance deadlocks and is reported as an error.
 	Window int
-	// MaxCycles is a hard cycle budget for the detailed simulator (Run):
-	// when the simulation reaches it with iterations unfinished, a
-	// budget-exhausted error reporting the blocked iteration set is returned
-	// instead of spinning. 0 derives a generous bound from n and the
-	// schedule length (any correct schedule finishes well inside it), so a
-	// pathological schedule is always caught.
+	// MaxCycles, when positive, is a hard cycle budget: if any row would
+	// issue after cycle MaxCycles, Time and Run return a budget-exhausted
+	// error naming the blocked iterations. 0 means no budget; the
+	// simulation always terminates, since every wait and window gate reads
+	// an earlier iteration or an earlier row.
 	MaxCycles int
 	// Tracer, when non-nil, records a cycle-accurate execution trace with
-	// stall-cause attribution (both engines fill it identically). Nil costs
-	// the hot path nothing.
+	// stall-cause attribution. Nil costs Time nothing.
 	Tracer *Tracer
 }
 
@@ -94,85 +90,6 @@ type Timing struct {
 	IterIssue, IterDone []int
 }
 
-// consumer is one wait instruction's placement: the row it issues in and its
-// dependence distance.
-type consumer struct {
-	row, dist int
-}
-
-// rowMeta precomputes per-row wait constraints and the per-signal send row.
-type rowMeta struct {
-	length   int
-	rows     [][]int
-	waits    [][]*tac.Instr // waits issued in each row
-	sendRow  map[string]int // signal -> row of its send
-	sends    [][]string     // signals sent in each row
-	consume  map[string][]consumer
-	rowLat   []int // max completion offset of a row's instructions
-	maxDist  int
-	schedule *core.Schedule
-}
-
-func newRowMeta(s *core.Schedule) (*rowMeta, error) {
-	m := &rowMeta{
-		length:   s.Length(),
-		rows:     s.Rows,
-		waits:    make([][]*tac.Instr, s.Length()),
-		sendRow:  map[string]int{},
-		sends:    make([][]string, s.Length()),
-		consume:  map[string][]consumer{},
-		rowLat:   make([]int, s.Length()),
-		maxDist:  1,
-		schedule: s,
-	}
-	for r, row := range s.Rows {
-		for _, v := range row {
-			in := s.Prog.Instrs[v]
-			lat := s.Cfg.Latency[in.Class()]
-			if lat > m.rowLat[r] {
-				m.rowLat[r] = lat
-			}
-			switch in.Op {
-			case tac.Wait:
-				m.waits[r] = append(m.waits[r], in)
-				m.consume[in.Signal] = append(m.consume[in.Signal], consumer{row: r, dist: in.SigDist})
-				if in.SigDist > m.maxDist {
-					m.maxDist = in.SigDist
-				}
-			case tac.Send:
-				m.sendRow[in.Signal] = r
-				m.sends[r] = append(m.sends[r], in.Signal)
-			}
-		}
-	}
-	for r := range m.waits {
-		for _, w := range m.waits[r] {
-			if _, ok := m.sendRow[w.Signal]; !ok {
-				return nil, fmt.Errorf("sim: wait on signal %s with no send in schedule", w.Signal)
-			}
-		}
-	}
-	return m, nil
-}
-
-// checkWindow validates a bounded signal window against the schedule.
-func (m *rowMeta) checkWindow(window int) error {
-	if window <= 0 {
-		return nil
-	}
-	if window < m.maxDist {
-		return fmt.Errorf("sim: signal window %d smaller than the largest dependence distance %d (deadlock)", window, m.maxDist)
-	}
-	for sig, cs := range m.consume {
-		for _, c := range cs {
-			if c.dist == window && m.sendRow[sig] <= c.row {
-				return fmt.Errorf("sim: signal window %d equals distance %d of an LFD pair on %s (send would wait for its own iteration's wait)", window, c.dist, sig)
-			}
-		}
-	}
-	return nil
-}
-
 // Time computes the parallel execution time with the recurrence model. Its
 // working state (the schedule's synchronization structure in interned CSR
 // form plus the iteration ring) is pooled, so steady-state calls allocate
@@ -193,261 +110,72 @@ func MustTime(s *core.Schedule, opt Options) Timing {
 	return t
 }
 
-// Run executes the scheduled loop on the detailed simulator against st,
-// which must contain the loop's input data (including the bound scalar,
-// e.g. N). The store is mutated in place. The returned timing matches Time.
+// Run executes the scheduled loop against st, which must contain the loop's
+// input data (including the bound scalar, e.g. N). The store is mutated in
+// place. The timing is Time's: Run traces Time (into opt.Tracer, or a
+// private tracer when there is none) and replays the issue cycles it
+// recorded.
 func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
-	m, err := newRowMeta(s)
+	if opt.Tracer == nil {
+		opt.Tracer = &Tracer{}
+	}
+	t, err := Time(s, opt)
 	if err != nil {
 		return Timing{}, err
 	}
-	if err := m.checkWindow(opt.Window); err != nil {
+	if err := replay(s, st, opt.Tracer); err != nil {
 		return Timing{}, err
-	}
-	n := opt.N()
-	tr := opt.Tracer
-	if tr != nil {
-		tr.reset(s, opt)
-	}
-	t := Timing{IterIssue: make([]int, n), IterDone: make([]int, n)}
-	if n == 0 || m.length == 0 {
-		if tr != nil {
-			tr.Timing = t
-		}
-		return t, nil
-	}
-	procs := opt.procs()
-	// rowTime[i][r] is the cycle iteration i issued row r (-1 = not yet) —
-	// used for bounded-window send gating.
-	var rowTime [][]int
-	if opt.Window > 0 {
-		rowTime = make([][]int, n)
-		for i := range rowTime {
-			rowTime[i] = make([]int, m.length)
-			for r := range rowTime[i] {
-				rowTime[i][r] = -1
-			}
-		}
-	}
-
-	type proc struct {
-		idx     int // iteration index currently executing (0-based), -1 done
-		row     int
-		frame   *tac.Frame
-		prevT   int // issue time of previous row
-		maxDone int // completion horizon of issued rows
-		started bool
-	}
-	// signals[sig][iterIdx] = cycle the send issued (-1 = not yet).
-	signals := map[string][]int{}
-	for sig := range m.sendRow {
-		v := make([]int, n)
-		for i := range v {
-			v[i] = -1
-		}
-		signals[sig] = v
-	}
-	ps := make([]*proc, procs)
-	nextIter := 0
-	for p := range ps {
-		ps[p] = &proc{idx: -1}
-		if nextIter < n {
-			ps[p].idx = nextIter
-			ps[p].frame = tac.NewFrame(s.Prog.NumTemps, opt.Lo+nextIter)
-			if tr != nil {
-				tr.Iters[nextIter].Proc = p
-				tr.Iters[nextIter].Start = 0
-			}
-			nextIter++
-		}
-	}
-	// Hard cycle budget: explicit (Options.MaxCycles) or derived from the
-	// trip count and schedule length — any correct schedule finishes well
-	// inside the derived bound, so exceeding it means a deadlock or a
-	// pathological schedule rather than slow progress.
-	budget := opt.MaxCycles
-	derived := budget <= 0
-	if derived {
-		budget = (n+1)*(m.length+8)*4 + 1024
-	}
-	remaining := n
-	for cycle := 0; remaining > 0; cycle++ {
-		if cycle > budget {
-			// Error path only: the blocked-iteration set is built lazily here
-			// so the happy path constructs nothing.
-			var blocked []int
-			for _, p := range ps {
-				if p.idx >= 0 {
-					blocked = append(blocked, opt.Lo+p.idx)
-				}
-			}
-			if derived {
-				return Timing{}, fmt.Errorf("sim: deadlock at cycle %d (%d iterations unfinished; blocked iterations %v)",
-					cycle, remaining, blocked)
-			}
-			return Timing{}, fmt.Errorf("sim: cycle budget %d exhausted (%d iterations unfinished; blocked iterations %v)",
-				budget, remaining, blocked)
-		}
-		for pi, p := range ps {
-			if p.idx < 0 {
-				continue
-			}
-			if p.started && cycle < p.prevT+1 {
-				continue
-			}
-			// Check wait constraints for the next row.
-			ok := true
-			for _, w := range m.waits[p.row] {
-				iter := opt.Lo + p.idx
-				if iter-w.SigDist < opt.Lo {
-					continue
-				}
-				srcIdx := p.idx - w.SigDist
-				sendT := signals[w.Signal][srcIdx]
-				if sendT == -1 || cycle < sendT+1 {
-					ok = false
-					break
-				}
-			}
-			// Bounded-window send gating: sends in this row reuse the slot of
-			// iteration idx-Window; every consumer of the old signal must
-			// have issued strictly earlier.
-			if ok && opt.Window > 0 && p.idx-opt.Window >= 0 {
-			gate:
-				for _, sig := range m.sends[p.row] {
-					for _, c := range m.consume[sig] {
-						cIdx := p.idx - opt.Window + c.dist
-						if cIdx < 0 || cIdx == p.idx {
-							// Same-iteration consumers sit in earlier rows
-							// (validated) and have necessarily issued.
-							continue
-						}
-						if ct := rowTime[cIdx][c.row]; ct == -1 || ct >= cycle {
-							ok = false
-							break gate
-						}
-					}
-				}
-			}
-			if !ok {
-				t.StallCycles++
-				continue
-			}
-			if tr != nil {
-				it := &tr.Iters[p.idx]
-				it.Rows[p.row] = int32(cycle)
-				lower := 0
-				if p.started {
-					lower = p.prevT + 1
-				}
-				if cycle > lower {
-					m.attributeStalls(it, p.idx, p.row, lower, cycle, opt, signals, rowTime)
-				}
-			}
-			// Issue the row: execute its instructions against shared memory.
-			for _, v := range m.rows[p.row] {
-				in := s.Prog.Instrs[v]
-				if in.Op == tac.Send {
-					signals[in.Signal][p.idx] = cycle
-					t.SignalsSent++
-					continue
-				}
-				if err := tac.Exec(in, p.frame, st); err != nil {
-					return Timing{}, fmt.Errorf("sim: iteration %d instr %d: %w", opt.Lo+p.idx, in.ID, err)
-				}
-			}
-			if p.row == 0 {
-				t.IterIssue[p.idx] = cycle
-			}
-			if rowTime != nil {
-				rowTime[p.idx][p.row] = cycle
-			}
-			if fin := cycle + m.rowLat[p.row]; fin > p.maxDone {
-				p.maxDone = fin
-			}
-			p.prevT = cycle
-			p.started = true
-			p.row++
-			if p.row == m.length {
-				done := p.maxDone
-				t.IterDone[p.idx] = done
-				if tr != nil {
-					tr.Iters[p.idx].Done = done
-				}
-				if done > t.Total {
-					t.Total = done
-				}
-				remaining--
-				// Blocked cyclic reuse (matching the recurrence engine and the
-				// package doc): processor p runs iterations p, p+P, ... — the
-				// next iteration's first row can issue no earlier than the
-				// cycle after this one (started stays true so the prevT gate
-				// applies).
-				next := p.idx + procs
-				p.idx = -1
-				if next < n {
-					p.idx = next
-					p.row = 0
-					p.maxDone = 0
-					p.frame = tac.NewFrame(s.Prog.NumTemps, opt.Lo+next)
-					if tr != nil {
-						tr.Iters[next].Proc = pi
-						tr.Iters[next].Start = cycle + 1
-					}
-				}
-			}
-		}
-	}
-	if tr != nil {
-		tr.Timing = t
 	}
 	return t, nil
 }
 
-// attributeStalls reconstructs, at a row's issue cycle, the attributed wait
-// spans covering [lower, issue): first the binding synchronization wait
-// (the latest send the row waited on), then the bounded-window gate. The
-// constraints are monotone — once satisfiable they stay satisfiable — so the
-// issue cycle is exactly their maximum and the spans partition the gap.
-func (m *rowMeta) attributeStalls(it *IterTrace, idx, row, lower, issue int, opt Options, signals map[string][]int, rowTime [][]int) {
-	syncTo := lower
-	var bind *tac.Instr
-	for _, w := range m.waits[row] {
-		if idx-w.SigDist < 0 {
-			continue
+// replay executes every row of every traced iteration against st in the
+// order a cycle-stepped machine issues them: by issue cycle, then by
+// processor index within a cycle. A store is thus visible to every row
+// issued after it. Each iteration runs in its own frame. Send and Wait
+// execute as no-ops; the synchronization they stand for is already in the
+// issue cycles.
+func replay(s *core.Schedule, st *lang.Store, tr *Tracer) error {
+	n, L := tr.N, tr.Length
+	if L == 0 {
+		return nil
+	}
+	// Counting sort of the n·L row issues by cycle. Filling processor by
+	// processor keeps processor order within a cycle.
+	last := 0
+	for i := range tr.Iters {
+		last = max(last, int(tr.Iters[i].Rows[L-1]))
+	}
+	at := make([]int, last+2)
+	for i := range tr.Iters {
+		for _, c := range tr.Iters[i].Rows {
+			at[c+1]++
 		}
-		if sendT := signals[w.Signal][idx-w.SigDist]; sendT+1 > syncTo {
-			syncTo = sendT + 1
-			bind = w
-		}
 	}
-	if syncTo > issue {
-		syncTo = issue
+	for c := 1; c < len(at); c++ {
+		at[c] += at[c-1]
 	}
-	if bind != nil && syncTo > lower {
-		it.Stalls = append(it.Stalls, Stall{
-			Row: row, From: lower, To: syncTo, Cause: CauseSyncWait,
-			Signal: bind.Signal, Dist: bind.SigDist, SrcIter: idx - bind.SigDist,
-			SendCycle: syncTo - 1, LBD: m.sendRow[bind.Signal] >= row,
-		})
-	}
-	if issue > syncTo {
-		st := Stall{Row: row, From: syncTo, To: issue, Cause: CauseWindowWait}
-		if opt.Window > 0 && idx-opt.Window >= 0 {
-			winTo := syncTo
-			for _, sig := range m.sends[row] {
-				for _, c := range m.consume[sig] {
-					cIdx := idx - opt.Window + c.dist
-					if cIdx < 0 || cIdx == idx {
-						continue
-					}
-					if ct := rowTime[cIdx][c.row]; ct+1 > winTo {
-						winTo = ct + 1
-						st.Signal, st.Dist, st.SrcIter, st.SendCycle = sig, c.dist, cIdx, ct
-					}
-				}
+	order := make([]int, n*L)
+	for p := 0; p < tr.Procs; p++ {
+		for i := p; i < n; i += tr.Procs {
+			for r, c := range tr.Iters[i].Rows {
+				order[at[c]] = i*L + r
+				at[c]++
 			}
 		}
-		it.Stalls = append(it.Stalls, st)
 	}
+	frames := make([]*tac.Frame, n)
+	for _, k := range order {
+		i, r := k/L, k%L
+		if r == 0 {
+			frames[i] = tac.NewFrame(s.Prog.NumTemps, tr.Lo+i)
+		}
+		for _, v := range s.Rows[r] {
+			in := s.Prog.Instrs[v]
+			if err := tac.Exec(in, frames[i], st); err != nil {
+				return fmt.Errorf("sim: iteration %d instr %d: %w", tr.Lo+i, in.ID, err)
+			}
+		}
+	}
+	return nil
 }

@@ -163,27 +163,26 @@ func TestRunMatchesSequentialFig1(t *testing.T) {
 	}
 }
 
+// TestRunTimingMatchesTime: Run's timing, which is Time's, matches the
+// reference machine's.
 func TestRunTimingMatchesTime(t *testing.T) {
 	for _, src := range []string{fig1Source, chainSource, "DO I = 1, N\nS = S + A[I]\nENDDO"} {
 		b := build(t, src)
 		for _, cfg := range []dlx.Config{dlx.Standard(2, 1), dlx.Standard(4, 2), dlx.Uniform(4, 1)} {
 			for _, s := range []*core.Schedule{mustList(t, b, cfg), mustSync(t, b, cfg)} {
 				for _, opt := range []Options{{Lo: 1, Hi: 9}, {Lo: 1, Hi: 9, Procs: 3}, {Lo: 2, Hi: 7, Procs: 2}} {
-					want, err := Time(s, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := checkOracle(t, s, opt)
 					st := b.loop.SeedStore(12, 10, 3)
 					got, err := Run(s, st, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got.Total != want.Total {
-						t.Errorf("%s/%s %+v: detailed total %d != recurrence %d",
+						t.Errorf("%s/%s %+v: Run total %d != oracle %d",
 							cfg.Name, s.Method, opt, got.Total, want.Total)
 					}
 					if got.StallCycles != want.StallCycles {
-						t.Errorf("%s/%s %+v: detailed stalls %d != recurrence %d",
+						t.Errorf("%s/%s %+v: Run stalls %d != oracle %d",
 							cfg.Name, s.Method, opt, got.StallCycles, want.StallCycles)
 					}
 				}
@@ -348,9 +347,10 @@ func TestUnsynchronizedScheduleCorrupts(t *testing.T) {
 	}
 }
 
-// TestMaxCyclesBudget: Options.MaxCycles caps the detailed simulator
-// explicitly. A budget too small for the run fails with an exhaustion error
-// naming the blocked iteration set; a generous budget changes nothing.
+// TestMaxCyclesBudget: Options.MaxCycles caps the simulation explicitly, in
+// Time and so in Run. A budget too small for the run fails with an
+// exhaustion error naming the blocked iteration set; a generous budget
+// changes nothing.
 func TestMaxCyclesBudget(t *testing.T) {
 	b := build(t, chainSource)
 	s := mustList(t, b, dlx.Uniform(2, 1))
@@ -371,9 +371,22 @@ func TestMaxCyclesBudget(t *testing.T) {
 	if tm.Total != 700 {
 		t.Errorf("budgeted run total = %d, want 700", tm.Total)
 	}
-	// The derived bound (MaxCycles 0) still reports a deadlock, not an
-	// exhausted budget.
+	// No budget (MaxCycles 0) runs a correct schedule to completion.
 	if _, err := Run(s, b.loop.SeedStore(n+2, 8, 5), Options{Lo: 1, Hi: n}); err != nil {
 		t.Errorf("derived bound rejected a correct schedule: %v", err)
+	}
+	// Time enforces the same budget: the run issues its last row at cycle
+	// 699, so a budget of 699 fits and 698 does not, with iteration 100
+	// blocked. The blocked set lists one iteration per processor.
+	if tm, err := Time(s, Options{Lo: 1, Hi: n, MaxCycles: 699}); err != nil || tm.Total != 700 {
+		t.Errorf("Time with a fitting budget: total %d, %v", tm.Total, err)
+	}
+	_, err = Time(s, Options{Lo: 1, Hi: n, MaxCycles: 698})
+	if err == nil || !strings.Contains(err.Error(), "cycle budget 698 exhausted (1 iterations unfinished; blocked iterations [100])") {
+		t.Errorf("Time budget error = %v", err)
+	}
+	_, err = Time(s, Options{Lo: 1, Hi: n, MaxCycles: 50, Procs: 4})
+	if err == nil || !strings.Contains(err.Error(), "blocked iterations [8 9 10 11]") {
+		t.Errorf("Time budget error with 4 processors = %v", err)
 	}
 }

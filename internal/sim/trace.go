@@ -117,8 +117,8 @@ type slotAttr struct {
 }
 
 // Tracer is the opt-in cycle-accurate execution trace of one simulation.
-// Set Options.Tracer before calling Run or Time and the engine fills it;
-// a nil tracer costs the hot path nothing. A Tracer may be reused across
+// Set Options.Tracer before calling Time or Run and Time fills it; a nil
+// tracer costs the hot path nothing. A Tracer may be reused across
 // simulations — each run resets it.
 type Tracer struct {
 	// Loop is an optional caller-supplied label for exports.
@@ -510,7 +510,7 @@ func (tr *Tracer) SyncStalls() []SyncStallStat {
 	return out
 }
 
-// Utilize runs the recurrence engine with a tracer, verifies the
+// Utilize runs Time with a tracer, verifies the
 // attribution books, and returns the timing with the utilization report —
 // the one-call form used by reports and the pipeline.
 func Utilize(s *core.Schedule, opt Options) (Timing, *Utilization, error) {

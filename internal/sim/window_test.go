@@ -35,7 +35,7 @@ func TestWindowTooSmallRejected(t *testing.T) {
 	}
 	st := b.loop.SeedStore(20, 8, 1)
 	if _, err := Run(s, st, Options{Lo: 1, Hi: 20, Window: 1}); err == nil {
-		t.Error("detailed simulator must reject window 1 too")
+		t.Error("Run must reject window 1 too")
 	}
 }
 
@@ -115,18 +115,15 @@ func TestWindowForwardPairThrottled(t *testing.T) {
 	}
 }
 
-// TestWindowDetailedMatchesRecurrence: the two engines agree under bounded
-// windows, and memory remains correct.
+// TestWindowDetailedMatchesRecurrence: Run's timing matches the reference
+// machine's under bounded windows, and memory remains correct.
 func TestWindowDetailedMatchesRecurrence(t *testing.T) {
 	for _, src := range []string{fig1Source, chainSource} {
 		b := build(t, src)
 		for _, cfg := range []dlx.Config{dlx.Standard(2, 1), dlx.Standard(4, 2)} {
 			for _, s := range []*core.Schedule{mustList(t, b, cfg), mustSync(t, b, cfg)} {
 				for _, w := range []int{2, 3, 8} {
-					want, err := Time(s, Options{Lo: 1, Hi: 24, Window: w})
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := checkOracle(t, s, Options{Lo: 1, Hi: 24, Window: w})
 					ref := b.loop.SeedStore(24, 10, uint64(w))
 					got := ref.Clone()
 					if err := b.loop.Run(ref); err != nil {
@@ -137,7 +134,7 @@ func TestWindowDetailedMatchesRecurrence(t *testing.T) {
 						t.Fatal(err)
 					}
 					if tm.Total != want.Total {
-						t.Errorf("%s/%s window %d: detailed %d != recurrence %d",
+						t.Errorf("%s/%s window %d: Run %d != oracle %d",
 							cfg.Name, s.Method, w, tm.Total, want.Total)
 					}
 					if d := ref.Diff(got); d != "" {
