@@ -17,6 +17,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"doacross/internal/bitset"
 	"doacross/internal/core"
@@ -237,15 +238,43 @@ func Err(l diag.List) error {
 // derived from that program once: the dependence edges (Edges) and the
 // synchronization instructions with each wait's send resolved. The
 // schedules built for one program on every machine thus share one
-// derivation instead of repeating it per schedule. A Verifier is read-only
-// after NewVerifier and safe for concurrent use. Callers scope it to the
+// derivation instead of repeating it per schedule. A Verifier also holds
+// the per-schedule scratch of its checks and reuses it from one schedule to
+// the next, so it is not safe for concurrent use. Callers scope it to the
 // work over one program (a request, a load pass) rather than caching it
 // with the compilation, where it would stay resident for every cached loop.
 type Verifier struct {
-	prog  *tac.Program
-	edges []Edge
-	err   error // the edge derivation's error, reported by Verify
-	syncs syncIndex
+	prog    *tac.Program
+	edges   []Edge
+	err     error // the edge derivation's error, reported by Verify
+	syncs   syncIndex
+	scratch scratch
+}
+
+// scratch is the working memory of verifying one schedule. Nothing in it
+// carries over from one schedule to the next: every check resizes and
+// resets what it uses before reading it.
+type scratch struct {
+	rowPos []int // each instruction's issue order within its row
+	occ    []int // function-unit occupancy, class-major
+	arcs   []arc // the wait-for graph of the deadlock check
+	bf     []int // the Bellman-Ford distances and predecessors
+}
+
+// arc is one weighted wait-for arc between synchronization positions.
+type arc struct {
+	from, to, w int
+}
+
+// ints returns buf resized to n zeroed ints, reallocating only when buf is
+// too small.
+func ints(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // NewVerifier derives what verifying p's schedules needs. A derivation
@@ -309,16 +338,18 @@ func indexSyncs(p *tac.Program) syncIndex {
 // Verify derives the edges for this one call; a caller verifying several
 // schedules of one program uses a Verifier, whose diagnostics are
 // identical.
-func Verify(s *core.Schedule) diag.List { return verify(s, nil) }
+func Verify(s *core.Schedule) diag.List { return verify(s, nil, new(scratch)) }
 
 // Verify is the package-level Verify using the verifier's shared edges
 // when s is a schedule of the verifier's program. A schedule of any other
 // program is verified against a fresh derivation from its own program.
-func (v *Verifier) Verify(s *core.Schedule) diag.List { return verify(s, v) }
+// Either way the checks run in the verifier's scratch.
+func (v *Verifier) Verify(s *core.Schedule) diag.List { return verify(s, v, &v.scratch) }
 
 // verify checks s against v's derivation when s is a schedule of v's
-// program, and against a fresh derivation from s.Prog otherwise.
-func verify(s *core.Schedule, v *Verifier) diag.List {
+// program, and against a fresh derivation from s.Prog otherwise, working
+// in sc.
+func verify(s *core.Schedule, v *Verifier, sc *scratch) diag.List {
 	var out diag.List
 	fail := func(pos diag.Pos, stmt string, format string, args ...any) {
 		d := diag.Errorf(Stage, pos, format, args...)
@@ -354,7 +385,8 @@ func verify(s *core.Schedule, v *Verifier) diag.List {
 	}
 	// rowPos is each instruction's issue order within its row, -1 while
 	// the instruction has not been seen in any row.
-	rowPos := make([]int, n)
+	sc.rowPos = ints(sc.rowPos, n)
+	rowPos := sc.rowPos
 	for v := range rowPos {
 		rowPos[v] = -1
 	}
@@ -435,7 +467,8 @@ func verify(s *core.Schedule, v *Verifier) diag.List {
 		}
 	}
 	// occ[cls*horizon+c] counts the class-cls units busy in cycle c.
-	occ := make([]int, int(dlx.NumClasses)*horizon)
+	sc.occ = ints(sc.occ, int(dlx.NumClasses)*horizon)
+	occ := sc.occ
 	for v := 0; v < n; v++ {
 		cls := s.Prog.Instrs[v].Class()
 		if !dlx.NeedsUnit(cls) {
@@ -452,7 +485,7 @@ func verify(s *core.Schedule, v *Verifier) diag.List {
 		}
 	}
 
-	out = append(out, verifyDeadlockFree(s, rowPos, &v.syncs)...)
+	out = append(out, verifyDeadlockFree(s, sc, &v.syncs)...)
 	out = append(out, verifyLBDAccounting(s, &v.syncs)...)
 	return out
 }
@@ -473,14 +506,11 @@ func verify(s *core.Schedule, v *Verifier) diag.List {
 // Positive distances alone make every cycle positive, so organic schedules
 // pass; a distance-0 or negative wait whose send sits at or after it is
 // caught here.
-func verifyDeadlockFree(s *core.Schedule, rowPos []int, si *syncIndex) diag.List {
+func verifyDeadlockFree(s *core.Schedule, sc *scratch, si *syncIndex) diag.List {
 	var out diag.List
-	syncs := si.syncs
+	syncs, rowPos := si.syncs, sc.rowPos
 	if len(syncs) == 0 {
 		return nil
-	}
-	type arc struct {
-		from, to, w int
 	}
 	// Each wait has one arc to its send and at most one stall arc from
 	// every other synchronization instruction.
@@ -490,7 +520,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int, si *syncIndex) diag.List
 			waits++
 		}
 	}
-	arcs := make([]arc, 0, waits*len(syncs))
+	arcs := slices.Grow(sc.arcs[:0], waits*len(syncs))
 	for i, v := range syncs {
 		in := s.Prog.Instrs[v]
 		if in.Op == tac.Wait {
@@ -520,6 +550,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int, si *syncIndex) diag.List
 			}
 		}
 	}
+	sc.arcs = arcs
 	if len(arcs) == 0 {
 		return out
 	}
@@ -527,8 +558,8 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int, si *syncIndex) diag.List
 	// and subtract 1 per arc, then any such cycle (and only such a cycle)
 	// is strictly negative; Bellman-Ford from an implicit all-zero source.
 	k := len(arcs) + 1
-	buf := make([]int, 2*len(syncs))
-	dist, pred := buf[:len(syncs)], buf[len(syncs):]
+	sc.bf = ints(sc.bf, 2*len(syncs))
+	dist, pred := sc.bf[:len(syncs)], sc.bf[len(syncs):]
 	for i := range pred {
 		pred[i] = -1
 	}

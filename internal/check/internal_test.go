@@ -115,7 +115,7 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s, rowPos := syncSchedule(c.instrs, c.cycles)
 			si := indexSyncs(s.Prog)
-			l := verifyDeadlockFree(s, rowPos, &si)
+			l := verifyDeadlockFree(s, &scratch{rowPos: rowPos}, &si)
 			if got := len(l.Errors()) > 0; got != c.deadlock {
 				t.Errorf("deadlock = %v, want %v; diagnostics:\n%s", got, c.deadlock, l)
 			}
@@ -129,7 +129,7 @@ func TestDeadlockReportNamesCycle(t *testing.T) {
 		{Op: tac.Send, Signal: "S1"},
 	}, []int{0, 1})
 	si := indexSyncs(s.Prog)
-	l := verifyDeadlockFree(s, rowPos, &si)
+	l := verifyDeadlockFree(s, &scratch{rowPos: rowPos}, &si)
 	if len(l.Errors()) == 0 {
 		t.Fatal("no deadlock reported")
 	}

@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"doacross/internal/dep"
@@ -23,6 +25,7 @@ type lintOp struct {
 	seq    int // textual order among sync ops and statements
 	prev   int // statement index textually before the op, -1 if none
 	next   int // statement index textually after the op, len(Body) if none
+	src    int // index of the signal's source statement, -1 for an unknown label
 	pos    diag.Pos
 	stmt   string // label of the anchor statement, "" past the last one
 }
@@ -37,7 +40,7 @@ func Lint(loop *lang.Loop) diag.List {
 	if loop == nil || len(loop.Syncs) == 0 {
 		return nil
 	}
-	var ops []lintOp
+	ops := make([]lintOp, 0, len(loop.Syncs))
 	seq := 0
 	k := 0 // statements emitted so far
 	for _, o := range loop.Syncs {
@@ -67,25 +70,37 @@ func LintSync(sl *syncop.Loop) diag.List {
 	if sl == nil {
 		return nil
 	}
-	var ops []lintOp
-	for seq, it := range sl.Items() {
-		if it.Op == nil {
-			continue
-		}
+	sends, waits := sl.NumOps()
+	ops := make([]lintOp, 0, sends+waits)
+	// seq counts ops and statements in execution order: each statement's
+	// waits, the statement, then its sends.
+	seq := 0
+	add := func(o *syncop.Op, k int) {
+		st := sl.Base.Body[k]
 		op := lintOp{
-			wait:   it.Op.Kind == syncop.Wait,
-			signal: it.Op.Src,
-			dist:   it.Op.Distance,
+			wait:   o.Kind == syncop.Wait,
+			signal: o.Src,
+			dist:   o.Distance,
 			seq:    seq,
-			pos:    sl.Base.Body[it.StmtIndex].Pos(),
-			stmt:   sl.Base.Body[it.StmtIndex].Label,
+			pos:    st.Pos(),
+			stmt:   st.Label,
 		}
 		if op.wait {
-			op.prev, op.next = it.StmtIndex-1, it.StmtIndex
+			op.prev, op.next = k-1, k
 		} else {
-			op.prev, op.next = it.StmtIndex, it.StmtIndex+1
+			op.prev, op.next = k, k+1
 		}
 		ops = append(ops, op)
+		seq++
+	}
+	for k := range sl.Base.Body {
+		for i := range sl.Pre[k] {
+			add(&sl.Pre[k][i], k)
+		}
+		seq++
+		for i := range sl.Post[k] {
+			add(&sl.Post[k][i], k)
+		}
 	}
 	return lintOps(sl.Base, sl.Analysis, ops)
 }
@@ -93,51 +108,49 @@ func LintSync(sl *syncop.Loop) diag.List {
 // lintOps runs every lint rule over the neutral op list.
 func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 	var out diag.List
-	report := func(op lintOp, err bool, format string, args ...any) {
-		var d *diag.Diagnostic
+	emit := func(op lintOp, err bool, msg string) {
+		sev := diag.Warning
 		if err {
-			d = diag.Errorf(LintStage, op.pos, format, args...)
-		} else {
-			d = diag.Warningf(LintStage, op.pos, format, args...)
+			sev = diag.Error
 		}
-		if op.stmt != "" {
-			d = d.WithStmt(op.stmt)
-		}
-		out = append(out, d)
+		out = append(out, &diag.Diagnostic{Stage: LintStage, Severity: sev, Pos: op.pos, Stmt: op.stmt, Msg: msg})
+	}
+	report := func(op lintOp, err bool, format string, args ...any) {
+		emit(op, err, fmt.Sprintf(format, args...))
 	}
 	render := func(op lintOp) string {
-		if !op.wait {
-			return fmt.Sprintf("Send_Signal(%s)", op.signal)
+		var buf [64]byte
+		return string(appendOp(buf[:0], &op, base.Var))
+	}
+
+	// sigs[s] summarizes the ops naming statement s's signal. Ops with an
+	// unknown label are reported before either rule below reads it.
+	type sigInfo struct {
+		firstSend     int // seq of the first send
+		sent, awaited bool
+	}
+	sigs := make([]sigInfo, len(base.Body))
+	for i := range ops {
+		op := &ops[i]
+		op.src = base.StmtIndex(op.signal)
+		if op.src < 0 {
+			continue
 		}
-		switch {
-		case op.dist == 0:
-			return fmt.Sprintf("Wait_Signal(%s, %s)", op.signal, base.Var)
-		case op.dist < 0:
-			return fmt.Sprintf("Wait_Signal(%s, %s+%d)", op.signal, base.Var, -op.dist)
-		default:
-			return fmt.Sprintf("Wait_Signal(%s, %s-%d)", op.signal, base.Var, op.dist)
+		if sig := &sigs[op.src]; op.wait {
+			sig.awaited = true
+		} else if !sig.sent {
+			sig.firstSend, sig.sent = op.seq, true
 		}
 	}
 
-	srcOf := func(signal string) int { return base.StmtIndex(signal) }
-	firstSendSeq := map[string]int{}
-	awaited := map[string]bool{}
 	for _, op := range ops {
-		if op.wait {
-			awaited[op.signal] = true
-		} else if _, dup := firstSendSeq[op.signal]; !dup {
-			firstSendSeq[op.signal] = op.seq
-		}
-	}
-
-	for _, op := range ops {
-		src := srcOf(op.signal)
+		src := op.src
 		if src < 0 {
 			report(op, true, "%s references unknown statement label %q", render(op), op.signal)
 			continue
 		}
 		if op.wait {
-			sendSeq, sent := firstSendSeq[op.signal]
+			sendSeq, sent := sigs[src].firstSend, sigs[src].sent
 			if !sent {
 				report(op, true, "static deadlock: %s has no matching Send_Signal(%s)", render(op), op.signal)
 				continue
@@ -161,19 +174,24 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 			// Distance audit against the dependence analysis: the wait
 			// guards its anchor statement against the signal's source.
 			if a != nil && op.next < len(base.Body) {
-				var dists []int
-				match := false
-				for _, d := range a.Deps {
-					if d.Src.Stmt == src && d.Snk.Stmt == op.next && d.Distance > 0 {
-						dists = append(dists, d.Distance)
-						if d.Distance == op.dist {
-							match = true
-						}
+				guards := func(d *dep.Dependence) bool {
+					return d.Src.Stmt == src && d.Snk.Stmt == op.next && d.Distance > 0
+				}
+				found, match := false, false
+				for i := range a.Deps {
+					if d := &a.Deps[i]; guards(d) {
+						found, match = true, match || d.Distance == op.dist
 					}
 				}
-				if len(dists) == 0 {
+				if !found {
 					report(op, false, "no loop-carried dependence from %s to %s requires %s", op.signal, base.Body[op.next].Label, render(op))
 				} else if !match {
+					var dists []int
+					for i := range a.Deps {
+						if d := &a.Deps[i]; guards(d) {
+							dists = append(dists, d.Distance)
+						}
+					}
 					report(op, false, "%s distance %d matches no analyzed dependence %s->%s (analysis finds distances %v)",
 						render(op), op.dist, op.signal, base.Body[op.next].Label, dists)
 				}
@@ -182,18 +200,39 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 			if op.prev < src {
 				report(op, true, "%s precedes its source statement %s (synchronization condition 1)", render(op), op.signal)
 			}
-			if !awaited[op.signal] {
+			if !sigs[src].awaited {
 				report(op, false, "signal %s is sent but never awaited (dead synchronization)", op.signal)
 			}
-			if firstSendSeq[op.signal] != op.seq {
+			if sigs[src].firstSend != op.seq {
 				report(op, false, "duplicate %s", render(op))
 			}
 		}
 	}
 
-	lintRedundantWaits(base, ops, report, render)
+	lintRedundantWaits(base, ops, emit)
 	out = append(out, lintDepPrecision(base, a, ops, render)...)
 	return out
+}
+
+// appendOp appends op as written in the source of a loop over the induction
+// variable iv: Send_Signal(S1), Wait_Signal(S1, I-2).
+func appendOp(b []byte, op *lintOp, iv string) []byte {
+	if !op.wait {
+		b = append(b, "Send_Signal("...)
+		b = append(b, op.signal...)
+		return append(b, ')')
+	}
+	b = append(b, "Wait_Signal("...)
+	b = append(b, op.signal...)
+	b = append(b, ", "...)
+	b = append(b, iv...)
+	switch {
+	case op.dist < 0:
+		b = strconv.AppendInt(append(b, '+'), int64(-op.dist), 10)
+	case op.dist > 0:
+		b = strconv.AppendInt(append(b, '-'), int64(op.dist), 10)
+	}
+	return append(b, ')')
 }
 
 // hotspotThreshold is how many conservative pair decisions one statement must
@@ -214,7 +253,7 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 		if !op.wait || op.dist <= 0 || op.next >= len(base.Body) {
 			continue
 		}
-		src := base.StmtIndex(op.signal)
+		src := op.src
 		if src < 0 || src == op.next {
 			continue
 		}
@@ -242,18 +281,24 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 	}
 	// Conservative hotspots: statements party to several pair decisions the
 	// analysis could not refine. Counted once per pair even when both
-	// references sit in the same statement.
-	counts := make([]int, len(base.Body))
-	reasons := make([]map[dep.Rule]bool, len(base.Body))
+	// references sit in the same statement. Bit r of a statement's rules
+	// records rule r; the report names rules 0 to 15.
+	type hotspot struct {
+		pairs int
+		rules uint16
+	}
+	var hot []hotspot
 	note := func(stmt int, r dep.Rule) {
 		if stmt < 0 || stmt >= len(base.Body) {
 			return
 		}
-		counts[stmt]++
-		if reasons[stmt] == nil {
-			reasons[stmt] = map[dep.Rule]bool{}
+		if hot == nil {
+			hot = make([]hotspot, len(base.Body))
 		}
-		reasons[stmt][r] = true
+		hot[stmt].pairs++
+		if r < 16 {
+			hot[stmt].rules |= 1 << r
+		}
 	}
 	for i := range a.Pairs {
 		p := &a.Pairs[i]
@@ -265,23 +310,28 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 			note(p.B.Stmt, p.Evidence.Rule)
 		}
 	}
-	for s, n := range counts {
-		if n < hotspotThreshold {
+	for s, h := range hot {
+		if h.pairs < hotspotThreshold {
 			continue
 		}
 		var rules []string
-		for r := dep.Rule(0); int(r) < 16; r++ {
-			if reasons[s][r] {
+		for r := dep.Rule(0); r < 16; r++ {
+			if h.rules&(1<<r) != 0 {
 				rules = append(rules, r.String())
 			}
 		}
 		st := base.Body[s]
 		out = append(out, diag.Warningf(LintStage, st.Pos(),
 			"conservative-dependence hotspot: %s is party to %d conservative dependence pairs (%s); the analyzer had to assume distance-1 webs for each",
-			st.Label, n, strings.Join(rules, ", ")).WithStmt(st.Label))
+			st.Label, h.pairs, strings.Join(rules, ", ")).WithStmt(st.Label))
 	}
 	return out
 }
+
+// maxFlatSeen bounds the flat visited set of lintRedundantWaits, in
+// states. A wait whose distance would need more (tens of thousands of
+// iterations) is searched with a map instead.
+const maxFlatSeen = 1 << 16
 
 // lintRedundantWaits flags waits subsumed by the transitive closure of the
 // other waits. A wait W for signal src(W) with distance d guarantees that
@@ -292,58 +342,83 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 // requirement matters because iterations of a DOACROSS loop are otherwise
 // unordered. Waits already flagged redundant are excluded from chains, so
 // of two identical waits only the later is flagged.
-func lintRedundantWaits(base *lang.Loop, ops []lintOp, report func(lintOp, bool, string, ...any), render func(lintOp) string) {
+//
+// The search is a breadth-first search over (anchor, distance sum) states,
+// so the chain reported is a shortest one. It renders a chain only for a
+// wait it reports, as "[V1 V2 ...]".
+func lintRedundantWaits(base *lang.Loop, ops []lintOp, emit func(lintOp, bool, string)) {
 	// Waits eligible to participate: positive distance, known signal.
-	var waits []lintOp
-	for _, op := range ops {
-		if op.wait && op.dist > 0 && base.StmtIndex(op.signal) >= 0 {
-			waits = append(waits, op)
+	waits := make([]int, 0, len(ops)) // indices into ops
+	for i := range ops {
+		if op := &ops[i]; op.wait && op.dist > 0 && op.src >= 0 {
+			waits = append(waits, i)
 		}
 	}
-	redundant := map[int]bool{} // seq -> flagged
-	for _, w := range waits {
-		srcW := base.StmtIndex(w.signal)
-		type state struct {
-			anchor, used int
+	if len(waits) < 2 {
+		return // a chain needs a wait other than the one it subsumes
+	}
+	redundant := make([]bool, len(waits))
+	// A state is a chain ending at anchor with distance sum used, extended
+	// through waits[via] from queue[parent]. The queue is walked, never
+	// popped, so a reported chain is read back through the parents. Its
+	// root is the empty chain, anchored at src(W).
+	type state struct{ anchor, used, via, parent int }
+	queue := make([]state, 0, 2*len(waits))
+	// Every anchor is a wait's next statement, in [0, len(Body)].
+	anchors := len(base.Body) + 1
+	var seen []bool
+	var path []int // a reported chain's waits, last first
+	for wi, w := range waits {
+		wop := &ops[w]
+		d := wop.dist
+		// Visited states: seen[anchor*(d+1)+used], or sparse for a huge d.
+		var sparse map[[2]int]bool
+		if d < maxFlatSeen/anchors {
+			seen = slices.Grow(seen[:0], anchors*(d+1))[:anchors*(d+1)]
+			clear(seen)
+		} else {
+			sparse = map[[2]int]bool{}
 		}
-		type entry struct {
-			st    state
-			chain []string
-		}
-		var queue []entry
-		seen := map[state]bool{}
-		push := func(st state, chain []string) {
-			if st.used > w.dist || seen[st] {
-				return
-			}
-			seen[st] = true
-			queue = append(queue, entry{st: st, chain: chain})
-		}
-		for _, v := range waits {
-			if v.seq == w.seq || redundant[v.seq] {
-				continue
-			}
-			if base.StmtIndex(v.signal) >= srcW {
-				push(state{anchor: v.next, used: v.dist}, []string{render(v)})
-			}
-		}
-		found := false
-		for len(queue) > 0 && !found {
-			e := queue[0]
-			queue = queue[1:]
-			if e.st.used == w.dist && e.st.anchor <= w.next {
-				report(w, false, "%s is redundant: subsumed by transitive synchronization through %v", render(w), e.chain)
-				redundant[w.seq] = true
-				found = true
+		queue = append(queue[:0], state{anchor: wop.src, via: -1, parent: -1})
+		for head := 0; head < len(queue); head++ {
+			e := queue[head]
+			if e.used == d && e.anchor <= wop.next {
+				path = path[:0]
+				for i := head; queue[i].via >= 0; i = queue[i].parent {
+					path = append(path, waits[queue[i].via])
+				}
+				var buf [256]byte
+				b := append(appendOp(buf[:0], wop, base.Var), " is redundant: subsumed by transitive synchronization through ["...)
+				for i := len(path) - 1; i >= 0; i-- {
+					b = appendOp(b, &ops[path[i]], base.Var)
+					if i > 0 {
+						b = append(b, ' ')
+					}
+				}
+				emit(*wop, false, string(append(b, ']')))
+				redundant[wi] = true
 				break
 			}
-			for _, v := range waits {
-				if v.seq == w.seq || redundant[v.seq] {
+			for vi, v := range waits {
+				vop := &ops[v]
+				if vi == wi || redundant[vi] || vop.src < e.anchor || vop.dist > d-e.used {
 					continue
 				}
-				if base.StmtIndex(v.signal) >= e.st.anchor {
-					push(state{anchor: v.next, used: e.st.used + v.dist}, append(append([]string{}, e.chain...), render(v)))
+				next := state{anchor: vop.next, used: e.used + vop.dist, via: vi, parent: head}
+				if sparse != nil {
+					k := [2]int{next.anchor, next.used}
+					if sparse[k] {
+						continue
+					}
+					sparse[k] = true
+				} else {
+					k := next.anchor*(d+1) + next.used
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
 				}
+				queue = append(queue, next)
 			}
 		}
 	}

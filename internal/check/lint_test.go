@@ -1,11 +1,15 @@
 package check_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"doacross"
 	"doacross/internal/check"
 	"doacross/internal/dep"
+	"doacross/internal/diag"
 	"doacross/internal/lang"
 	"doacross/internal/syncop"
 )
@@ -259,4 +263,144 @@ ENDDO`)
 	if !found {
 		t.Errorf("hotspot finding carries no source position; got %q", warns)
 	}
+}
+
+// sameLint fails the test unless the linter's findings equal the oracle's,
+// field by field and in order.
+func sameLint(t *testing.T, what string, got, want diag.List) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: linter diverges from the oracle:\n-- lint --\n%s-- oracle --\n%s", what, got, want)
+	}
+}
+
+// TestLintMatchesOracle is the differential for the allocation-lean
+// linter: over the Perfect-profile suites and 200 generated loops, LintSync
+// on the compiled synchronization and Lint on the same synchronization
+// written out as source must report exactly what the old linter reports.
+func TestLintMatchesOracle(t *testing.T) {
+	srcs := differentialCorpus(t, 200)
+	// A distance too large for the flat visited set, subsumed by a chain
+	// that uses one wait twice.
+	srcs = append(srcs, `DOACROSS I = 1, N
+  Wait_Signal(S1, I-50000)
+  Wait_Signal(S1, I-50000)
+  Wait_Signal(S1, I-100000)
+  S1: A[I] = A[I-50000] + A[I-100000]
+  Send_Signal(S1)
+ENDDO`)
+	redundant := 0
+	for i, src := range srcs {
+		loop, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("loop %d: parse: %v", i, err)
+		}
+		if len(loop.Syncs) > 0 {
+			l := check.Lint(loop)
+			sameLint(t, fmt.Sprintf("loop %d: Lint", i), l, oracleLint(loop))
+			redundant += countRedundant(l)
+			continue
+		}
+		p, err := doacross.Compile(src)
+		if err != nil {
+			t.Fatalf("loop %d: compile: %v\n%s", i, err, src)
+		}
+		l := check.LintSync(p.Sync)
+		sameLint(t, fmt.Sprintf("loop %d: LintSync", i), l, oracleLintSync(p.Sync))
+		redundant += countRedundant(l)
+		written, err := lang.Parse(p.Sync.String())
+		if err != nil {
+			t.Fatalf("loop %d: the synchronized loop does not parse back: %v\n%s", i, err, p.Sync)
+		}
+		l = check.Lint(written)
+		sameLint(t, fmt.Sprintf("loop %d: Lint of the written synchronization", i), l, oracleLint(written))
+		redundant += countRedundant(l)
+	}
+	if redundant == 0 {
+		t.Fatal("no redundant wait found in the corpus; the differential proves nothing about the search")
+	}
+	t.Logf("%d loops, %d redundant-wait findings", len(srcs), redundant)
+}
+
+func countRedundant(l diag.List) int {
+	n := 0
+	for _, d := range l {
+		if strings.Contains(d.Error(), "subsumed by transitive synchronization") {
+			n++
+		}
+	}
+	return n
+}
+
+// lintFuzzStmts are the statements FuzzLintRedundantWaits builds loops
+// from: chained flow dependences at distances 1 to 3.
+var lintFuzzStmts = []string{
+	"A[I] = A[I-1] + D[I-2]",
+	"B[I] = A[I-2] * C[I]",
+	"C[I] = B[I-1] + A[I-3]",
+	"D[I] = C[I-2] + D[I-1]",
+}
+
+// lintFuzzSource writes a loop of one to four statements with explicit
+// synchronization decoded from data: two bytes per op give its kind, its
+// signal (possibly an unknown label), its position and a wait's distance
+// (-1 to 6).
+func lintFuzzSource(data []byte) string {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	n := 1 + int(data[0])%len(lintFuzzStmts)
+	type op struct {
+		text string
+		at   int
+	}
+	var ops []op
+	for i := 1; i+1 < len(data) && len(ops) < 12; i += 2 {
+		b, dist := data[i], int(data[i+1]%8)-1
+		label := fmt.Sprintf("S%d", 1+int(b>>1)%(n+1)) // S(n+1) is unknown
+		o := op{text: "Send_Signal(" + label + ")", at: int(b>>4) % (n + 1)}
+		if b&1 != 0 {
+			switch {
+			case dist == 0:
+				o.text = "Wait_Signal(" + label + ", I)"
+			case dist < 0:
+				o.text = fmt.Sprintf("Wait_Signal(%s, I+%d)", label, -dist)
+			default:
+				o.text = fmt.Sprintf("Wait_Signal(%s, I-%d)", label, dist)
+			}
+		}
+		ops = append(ops, o)
+	}
+	var sb strings.Builder
+	sb.WriteString("DOACROSS I = 1, N\n")
+	for k := 0; k <= n; k++ {
+		for _, o := range ops {
+			if o.at == k {
+				sb.WriteString("  " + o.text + "\n")
+			}
+		}
+		if k < n {
+			fmt.Fprintf(&sb, "  S%d: %s\n", k+1, lintFuzzStmts[k])
+		}
+	}
+	sb.WriteString("ENDDO\n")
+	return sb.String()
+}
+
+// FuzzLintRedundantWaits checks Lint against the oracle on explicit
+// Wait_Signal/Send_Signal sources: the same findings, in the same order,
+// whatever the ops, their placement and their distances.
+func FuzzLintRedundantWaits(f *testing.F) {
+	// Two identical waits; a wait subsumed by a two-wait chain.
+	f.Add([]byte{1, 0x03, 2, 0x03, 2, 0x00, 0})
+	f.Add([]byte{2, 0x05, 2, 0x23, 2, 0x05, 3, 0x04, 0, 0x30, 0})
+	f.Add([]byte{3, 0x01, 1, 0x13, 1, 0x25, 2, 0x37, 4, 0x46, 0, 0x32, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := lintFuzzSource(data)
+		loop, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("generated source does not parse: %v\n%s", err, src)
+		}
+		sameLint(t, src, check.Lint(loop), oracleLint(loop))
+	})
 }

@@ -3,6 +3,7 @@ package check_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"doacross"
@@ -283,6 +284,67 @@ func TestEdgesMatchReference(t *testing.T) {
 		}
 		if want := referenceEdges(p.Code); !reflect.DeepEqual(got, want) {
 			t.Errorf("loop %d: edges diverge from the reference derivation\ngot  %v\nwant %v\n%s", i, got, want, src)
+		}
+	}
+}
+
+// TestVerifierReuse runs one Verifier over every schedule of a loop on the
+// paper's four machines (list, sync and best, each followed by all of its
+// mutants), forward and then backward. Every check thus starts on buffers
+// the previous schedule left behind: longer and shorter ones, accepted and
+// rejected ones, of every mutation kind. Each verdict must equal what a
+// one-shot Verify, with fresh buffers, reports.
+func TestVerifierReuse(t *testing.T) {
+	count := 16
+	if testing.Short() {
+		count = 4
+	}
+	type named struct {
+		what string
+		s    *core.Schedule
+		want diag.List
+	}
+	srcs := append(append([]string{}, fuzzCorpus...), loopgen.Suite(0x5EED, count)...)
+	for i, src := range srcs {
+		p, err := doacross.Compile(src)
+		if err != nil {
+			t.Fatalf("loop %d: compile: %v\n%s", i, err, src)
+		}
+		edges, err := check.Edges(p.Code)
+		if err != nil {
+			t.Fatalf("loop %d: %v", i, err)
+		}
+		var all []named
+		add := func(what string, s *core.Schedule) {
+			all = append(all, named{what, s, check.Verify(s)})
+		}
+		for _, m := range doacross.PaperMachines() {
+			for _, build := range []func(doacross.Machine) (*core.Schedule, error){
+				p.ScheduleList, p.ScheduleSync, p.ScheduleBest,
+			} {
+				s, err := build(m)
+				if err != nil {
+					t.Fatalf("loop %d: schedule: %v", i, err)
+				}
+				what := fmt.Sprintf("loop %d, %s, %s", i, m.Name, s.Method)
+				add(what, s)
+				muts := mutants(s, edges)
+				names := make([]string, 0, len(muts))
+				for name := range muts {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for _, name := range names {
+					add(what+": "+name, muts[name])
+				}
+			}
+		}
+		v := check.NewVerifier(p.Code)
+		for _, x := range all {
+			sameDiags(t, x.what, v.Verify(x.s), x.want)
+		}
+		for k := len(all) - 1; k >= 0; k-- {
+			sameDiags(t, all[k].what+" (backward)", v.Verify(all[k].s), all[k].want)
 		}
 	}
 }

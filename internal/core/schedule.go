@@ -93,8 +93,7 @@ func (s *Schedule) latency(node int) int {
 // every cycle up to CompletionLength. Units are not pipelined — an
 // instruction holds its unit for its full latency — matching Validate's
 // resource model. Classes that need no unit (synchronization) are absent.
-// Validate uses it for the oversubscription check and the simulator's
-// tracer for empty-slot attribution.
+// The simulator's tracer uses it for empty-slot attribution.
 func (s *Schedule) Occupancy() map[dlx.Class][]int {
 	occupancy := map[dlx.Class][]int{}
 	horizon := s.CompletionLength()
@@ -235,24 +234,23 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	// Function-unit occupancy (units are not pipelined: an instruction holds
-	// its unit for its full latency).
-	for cls, occ := range s.Occupancy() {
-		for c, busy := range occ {
-			if busy > s.Cfg.Units[cls] {
-				return fmt.Errorf("core: cycle %d oversubscribes %s units (%d > %d)",
-					c, cls, busy, s.Cfg.Units[cls])
+	// its unit for its full latency), counted in one class-major array and
+	// scanned in (class, cycle) order, so the first oversubscription is the
+	// one reported. The synchronization conditions are arcs, checked above.
+	horizon := s.CompletionLength()
+	occ := make([]int, int(dlx.NumClasses)*horizon)
+	for v, c := range s.Cycle {
+		if cls := s.Prog.Instrs[v].Class(); dlx.NeedsUnit(cls) {
+			row := occ[int(cls)*horizon:]
+			for t := c; t < c+s.latency(v); t++ {
+				row[t]++
 			}
 		}
 	}
-	// Synchronization conditions.
-	for _, in := range s.Prog.Instrs {
-		switch in.Op {
-		case tac.Send:
-			// The send must follow every store of its source statement that
-			// carries a synchronized dependence — covered by SrcToSend arcs,
-			// re-checked via the arc loop above.
-		case tac.Wait:
-			// Covered by WaitToSnk arcs.
+	for i, busy := range occ {
+		if cls := dlx.Class(i / horizon); busy > s.Cfg.Units[cls] {
+			return fmt.Errorf("core: cycle %d oversubscribes %s units (%d > %d)",
+				i%horizon, cls, busy, s.Cfg.Units[cls])
 		}
 	}
 	return nil

@@ -153,3 +153,37 @@ func TestValidateFailureInjection(t *testing.T) {
 		}
 	})
 }
+
+// TestValidateOversubscriptionDeterministic: when several classes are
+// oversubscribed, Validate reports the first (class, cycle) every time.
+func TestValidateOversubscriptionDeterministic(t *testing.T) {
+	g := buildGraph(t, "DO I = 1, N\nA[I] = E[I] + F[I]\nB[I] = G[I] + H[I]\nC[I] = P[I] + Q[I]\nENDDO")
+	wide, err := List(g, dlx.Standard(8, 4), ProgramOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Claim one unit per class: both the loads and the adds that the wide
+	// machine issued side by side now oversubscribe their class.
+	c := corrupt(t, wide)
+	c.Cfg = dlx.Standard(8, 1)
+	over := map[dlx.Class]bool{}
+	for cls, occ := range c.Occupancy() {
+		for _, busy := range occ {
+			if busy > 1 {
+				over[cls] = true
+			}
+		}
+	}
+	if !over[dlx.LoadStore] || !over[dlx.Float] {
+		t.Fatalf("schedule oversubscribes %v, want load/store and float units", over)
+	}
+	first := c.Validate()
+	if first == nil || !strings.Contains(first.Error(), dlx.LoadStore.String()) {
+		t.Fatalf("Validate = %v, want the load/store oversubscription", first)
+	}
+	for i := 0; i < 100; i++ {
+		if err := c.Validate(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: Validate = %v, want %v", i, err, first)
+		}
+	}
+}

@@ -535,22 +535,32 @@ func conservativeReason(r Rule) string {
 // distance-1 dependence. Each warning is positioned at the dependence
 // source statement, so `schedcmp -trace` can point at the source line that
 // defeats the distance test.
+//
+// Dependences that would render the same warning are reported once. The
+// warning is a function of exactly the fields of key (the source statement
+// fixes its position and label), so duplicates are found before rendering.
 func (a *Analysis) Diagnostics() diag.List {
+	type key struct {
+		kind           Kind
+		src, snk, dist int
+		name, reason   string
+	}
 	var out diag.List
-	seen := map[string]bool{}
+	seen := map[key]bool{}
 	for _, d := range a.Deps {
 		if !d.Conservative {
 			continue
 		}
-		st := a.Loop.Body[d.Src.Stmt]
-		w := diag.Warningf("dep", st.Pos(),
-			"conservative dependence assumed (%s): %s", conservativeReason(d.Evidence.Rule), d).WithStmt(st.Label)
-		key := w.Error()
-		if seen[key] {
+		k := key{d.Kind, d.Src.Stmt, d.Snk.Stmt, d.Distance, d.Src.Name(), conservativeReason(d.Evidence.Rule)}
+		if seen[k] {
 			continue
 		}
-		seen[key] = true
-		out = append(out, w)
+		seen[k] = true
+		st := a.Loop.Body[d.Src.Stmt]
+		out = append(out, &diag.Diagnostic{
+			Stage: "dep", Severity: diag.Warning, Pos: st.Pos(), Stmt: st.Label,
+			Msg: fmt.Sprintf("conservative dependence assumed (%s): %s", k.reason, d),
+		})
 	}
 	return out
 }

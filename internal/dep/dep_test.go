@@ -2,10 +2,13 @@ package dep
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"doacross/internal/diag"
 	"doacross/internal/lang"
+	"doacross/internal/loopgen"
 )
 
 const fig1Source = `
@@ -345,5 +348,58 @@ func TestConservativeOutputDependences(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("expected conservative output dependences: %v", a.Deps)
+	}
+}
+
+// TestDiagnosticsRenderOnce: deduplicating on the dependence fields reports
+// exactly the warnings that rendering every conservative dependence and
+// deduplicating the rendered text reports, in the same order, over
+// generated loops of every shape in both analysis modes.
+func TestDiagnosticsRenderOnce(t *testing.T) {
+	reference := func(a *Analysis) []string {
+		var out []string
+		seen := map[string]bool{}
+		for _, d := range a.Deps {
+			if !d.Conservative {
+				continue
+			}
+			st := a.Loop.Body[d.Src.Stmt]
+			w := diag.Warningf("dep", st.Pos(),
+				"conservative dependence assumed (%s): %s", conservativeReason(d.Evidence.Rule), d).WithStmt(st.Label)
+			if key := w.Error(); !seen[key] {
+				seen[key] = true
+				out = append(out, key)
+			}
+		}
+		return out
+	}
+	warnings, dropped := 0, 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		for shape := 0; shape < 6; shape++ {
+			src := loopgen.Generate(seed, loopgen.Options{Shape: loopgen.Shape(shape), Stmts: 1 + int(seed)%4})
+			loop := lang.MustParse(src)
+			for _, baseline := range []bool{false, true} {
+				a := AnalyzeOpts(loop, Options{Baseline: baseline})
+				var got []string
+				for _, d := range a.Diagnostics() {
+					got = append(got, d.Error())
+				}
+				want := reference(a)
+				if !slices.Equal(got, want) {
+					t.Fatalf("baseline=%v:\n%s\ngot  %q\nwant %q", baseline, src, got, want)
+				}
+				conservative := 0
+				for _, d := range a.Deps {
+					if d.Conservative {
+						conservative++
+					}
+				}
+				warnings += len(want)
+				dropped += conservative - len(want)
+			}
+		}
+	}
+	if warnings == 0 || dropped == 0 {
+		t.Fatalf("%d warnings, %d duplicates dropped: the corpus does not exercise the deduplication", warnings, dropped)
 	}
 }

@@ -231,9 +231,10 @@ func (lx *Lexer) Next() (Token, error) {
 // Tokenize returns all tokens of src, ending with TokEOF.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	// Tokens are a few characters each on average; one right-sized backing
-	// array avoids append growth on the compile hot path.
-	out := make([]Token, 0, len(src)/2+4)
+	// Loop sources average under two bytes per token, so a fixed ratio of
+	// len(src) either regrows or wastes memory. maxTokens bounds the count
+	// in one cheap pass, so the slice is allocated once.
+	out := make([]Token, 0, maxTokens(src))
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -244,6 +245,51 @@ func Tokenize(src string) ([]Token, error) {
 			return out, nil
 		}
 	}
+}
+
+// maxTokens returns an upper bound on the number of tokens Tokenize returns
+// for src, TokEOF included, in one pass over the bytes. Every token but
+// TokEOF starts at a byte that the count counts: an identifier at a letter
+// not continuing an identifier, a number at a digit continuing neither an
+// identifier nor a number, or at a '.', and any other token at its first
+// byte. Blanks and comments count nothing. Over-counting is limited to
+// two-byte operators, decimal points and runs of separators.
+func maxTokens(src string) int {
+	const (
+		none = iota
+		ident
+		number
+	)
+	n, run := 1, none
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		next := byte(0)
+		if i+1 < len(src) {
+			next = src[i+1]
+		}
+		switch {
+		case c == ' ' || c == '\t' || c == '\r':
+			run = none
+		case (c == '!' && next != '=') || (c == '/' && next == '/'):
+			for i+1 < len(src) && src[i+1] != '\n' {
+				i++
+			}
+			run = none
+		case isIdentStart(c):
+			if run != ident {
+				n, run = n+1, ident
+			}
+		case unicode.IsDigit(rune(c)):
+			if run == none {
+				n, run = n+1, number
+			}
+		case c == '.':
+			n, run = n+1, number
+		default:
+			n, run = n+1, none
+		}
+	}
+	return n
 }
 
 func isIdentStart(c byte) bool {

@@ -1,6 +1,11 @@
 package lang
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"doacross/internal/loopgen"
+)
 
 func kinds(ts []Token) []TokenKind {
 	out := make([]TokenKind, len(ts))
@@ -128,5 +133,42 @@ func TestTokenizeFloats(t *testing.T) {
 func TestTokenizeRejectsGarbage(t *testing.T) {
 	if _, err := Tokenize("A = #"); err == nil {
 		t.Error("expected error for '#'")
+	}
+}
+
+// TestMaxTokensBound: maxTokens never undercounts, on random text over the
+// lexer's alphabet (comments, decimal points, two-byte operators and
+// identifier/number boundaries included).
+func TestMaxTokensBound(t *testing.T) {
+	const alphabet = "AI2_9.. \n;!=/<>+-*()[],:\t\xc4"
+	r := rand.New(rand.NewSource(1))
+	buf := make([]byte, 40)
+	for i := 0; i < 20000; i++ {
+		b := buf[:r.Intn(len(buf))]
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		toks, err := Tokenize(string(b))
+		if err != nil {
+			continue
+		}
+		if bound := maxTokens(string(b)); bound < len(toks) {
+			t.Fatalf("maxTokens(%q) = %d, Tokenize returns %d tokens", b, bound, len(toks))
+		}
+	}
+}
+
+// TestTokenizeAllocatesOnce: Tokenize sizes its token slice once, on the
+// paper's Fig. 1 and on generated loops.
+func TestTokenizeAllocatesOnce(t *testing.T) {
+	srcs := append([]string{fig1Source}, loopgen.Suite(7, 200)...)
+	for _, src := range srcs {
+		var err error
+		if allocs := testing.AllocsPerRun(5, func() { _, err = Tokenize(src) }); allocs != 1 {
+			t.Errorf("Tokenize: %v allocs, want 1, on\n%s", allocs, src)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
