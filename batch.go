@@ -56,10 +56,6 @@ type (
 	TraceSpan = obs.Span
 	// TraceSpanKind is a span's level in the hierarchy.
 	TraceSpanKind = obs.Kind
-	// AdminServer is the HTTP observability surface (/metrics, /stats,
-	// /trace, /healthz, /debug/pprof) over a recorder and a metrics
-	// registry.
-	AdminServer = obs.Server
 )
 
 // Baseline priorities for BatchOptions.Baseline.
@@ -89,19 +85,6 @@ func NewTraceRecorder(n int) *TraceRecorder { return obs.NewRecorder(n) }
 // key, so eviction costs a recompute, never correctness.
 func NewBoundedScheduleCache(capacity int) *ScheduleCache {
 	return pipeline.NewCacheBounded(capacity)
-}
-
-// NewAdminServer wires an admin server over a metrics registry and a span
-// recorder (either may be nil; the corresponding endpoints then 404).
-// Start it with Serve(addr string) — e.g. ":8080" or ":0" — and stop it
-// with Close.
-func NewAdminServer(metrics *BatchMetrics, rec *TraceRecorder) *AdminServer {
-	srv := &AdminServer{Recorder: rec}
-	if metrics != nil {
-		srv.Metrics = metrics.WritePrometheus
-		srv.Stats = func() any { return metrics.Stats() }
-	}
-	return srv
 }
 
 // ScheduleAll compiles, schedules and simulates every source loop through
@@ -137,42 +120,4 @@ func ScheduleAllLoopsContext(ctx context.Context, loops []*Loop, opt BatchOption
 		reqs[i] = BatchRequest{Name: fmt.Sprintf("loop%d", i), Loop: l}
 	}
 	return pipeline.RunContext(ctx, reqs, opt)
-}
-
-// CompareAll runs the paper's list-vs-new experiment for every source loop
-// on machine m with trip count n, through the batch pipeline. It returns
-// one Comparison per loop in input order plus the underlying batch (for
-// schedules and stats). The first per-loop failure aborts with an error.
-func CompareAll(sources []string, m Machine, n int, opt BatchOptions) ([]Comparison, *Batch, error) {
-	return CompareAllContext(context.Background(), sources, m, n, opt)
-}
-
-// CompareAllContext is CompareAll under a cancellation context.
-func CompareAllContext(ctx context.Context, sources []string, m Machine, n int, opt BatchOptions) ([]Comparison, *Batch, error) {
-	opt.Machines = []Machine{m}
-	opt.N = n
-	batch, err := ScheduleAllContext(ctx, sources, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := batch.FirstErr(); err != nil {
-		return nil, batch, err
-	}
-	comps := make([]Comparison, len(batch.Loops))
-	for i := range batch.Loops {
-		lr := &batch.Loops[i]
-		mr := lr.Machines[0]
-		comps[i] = Comparison{
-			Machine:     mr.Machine,
-			N:           lr.N,
-			ListTime:    mr.ListTime,
-			SyncTime:    mr.SyncTime,
-			Improvement: mr.Improvement,
-			ListLBD:     mr.ListLBD,
-			SyncLBD:     mr.SyncLBD,
-			List:        mr.List,
-			Sync:        mr.Sync,
-		}
-	}
-	return comps, batch, nil
 }

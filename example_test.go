@@ -1,7 +1,9 @@
 package doacross_test
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 
 	"doacross"
 )
@@ -92,4 +94,40 @@ func ExampleProgram_Unroll() {
 	// Output:
 	// statements: 4
 	// sync ops for 4 elements: 1 send, 1 wait
+}
+
+// A trace recorder set as BatchOptions.Observer records the batch →
+// request → stage → pass span tree of every loop it schedules, exportable
+// as a Chrome trace (open it in ui.perfetto.dev) or a JSONL event log.
+func ExampleNewTraceRecorder() {
+	rec := doacross.NewTraceRecorder(0)
+	sources := []string{`
+DO I = 1, N
+  S1: A[I] = A[I-1] + E[I]
+ENDDO`}
+	batch, err := doacross.ScheduleAll(sources, doacross.BatchOptions{Observer: rec})
+	if err != nil {
+		panic(err)
+	}
+	if err := batch.FirstErr(); err != nil {
+		panic(err)
+	}
+	var chrome, jsonl bytes.Buffer
+	if err := rec.WriteChromeTrace(&chrome); err != nil {
+		panic(err)
+	}
+	if err := rec.WriteJSONL(&jsonl); err != nil {
+		panic(err)
+	}
+	kinds := map[string]int{}
+	for _, sp := range rec.Snapshot() {
+		kinds[sp.Kind.String()]++
+	}
+	fmt.Println("batch spans:", kinds["batch"], "request spans:", kinds["request"])
+	fmt.Println("one JSONL line per span:", strings.Count(jsonl.String(), "\n") == len(rec.Snapshot()))
+	fmt.Println("Chrome trace:", strings.Contains(chrome.String(), `"traceEvents"`))
+	// Output:
+	// batch spans: 1 request spans: 1
+	// one JSONL line per span: true
+	// Chrome trace: true
 }

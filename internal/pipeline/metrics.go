@@ -95,36 +95,11 @@ type Metrics struct {
 	stages map[string]*stageMetrics
 	// ranked holds the same stages in reporting order (stageRank, then
 	// name), kept sorted as stages register, so a snapshot is a slice fill.
-	ranked       []*stageMetrics
-	hits, misses atomic.Int64
-	// Robustness counters: recovered worker/pass panics, requests that hit
-	// a deadline or cancellation, and schedules served by the verified
-	// program-order fallback.
-	panics, timeouts, fallbacks atomic.Int64
-	// Verification counters: schedule sets the independent verifier
-	// (internal/check) accepted respectively rejected before serving, and
-	// synchronization-linter findings recorded at compile time.
-	verified, rejected, lintFindings atomic.Int64
-	// Dependence-analysis decision counters across fresh compilations: pair
-	// verdicts proven exact (distances enumerated with witnesses), proven
-	// independent (GCD / bound-separation certificate), and assumed
-	// conservative (undecidable residue).
-	depExact, depIndependent, depConservative atomic.Int64
-	// Liveness gauges: requests currently inside a worker and requests not
-	// yet handed to one, maintained by the batch pipeline.
-	inFlight, queueDepth atomic.Int64
-	// Paper-level simulation counters for the schedules actually served:
-	// Send_Signal issues, wait-stall cycles, and the LBD/LFD split of the
-	// synchronization arcs (the paper's LBD loop theorem quantities).
-	signals, stallCycles, lbdArcs, lfdArcs atomic.Int64
-	// Machine-level utilization counters, accumulated from the traced
-	// simulations of served schedules when the batch runs with
-	// Options.Utilization: processor-cycle totals split by attributed
-	// cause, and issue-slot totals split by the static reason each empty
-	// slot stayed empty.
-	simCyclesIssued, simCyclesSyncWait, simCyclesWindowWait, simCyclesDrain atomic.Int64
-	simSlotsTotal, simSlotsUsed                                             atomic.Int64
-	simEmptyRAW, simEmptyFUBusy, simEmptyWidth, simEmptyDrain               atomic.Int64
+	ranked []*stageMetrics
+	// vals holds the counters and gauges metricTable declares, indexed by
+	// metric (see the matching Stats fields); the cache rows' slots stay
+	// zero.
+	vals [numMetrics]atomic.Int64
 	// cache, when attached, supplies occupancy and eviction gauges to
 	// snapshots.
 	cache atomic.Pointer[Cache]
@@ -200,61 +175,61 @@ func (m *Metrics) PassError(name string) { m.Error(name) }
 func (m *Metrics) PassPanic(string) { m.Panic() }
 
 // CacheHit records a schedule-cache hit.
-func (m *Metrics) CacheHit() { m.hits.Add(1) }
+func (m *Metrics) CacheHit() { m.vals[mCacheHits].Add(1) }
 
 // CacheMiss records a schedule-cache miss.
-func (m *Metrics) CacheMiss() { m.misses.Add(1) }
+func (m *Metrics) CacheMiss() { m.vals[mCacheMisses].Add(1) }
 
 // Panic records a recovered panic (worker- or pass-level).
-func (m *Metrics) Panic() { m.panics.Add(1) }
+func (m *Metrics) Panic() { m.vals[mPanics].Add(1) }
 
 // Timeout records a request lost to a deadline or cancellation.
-func (m *Metrics) Timeout() { m.timeouts.Add(1) }
+func (m *Metrics) Timeout() { m.vals[mTimeouts].Add(1) }
 
 // Fallback records a request served by the verified program-order fallback
 // schedule instead of the synchronization-aware one.
-func (m *Metrics) Fallback() { m.fallbacks.Add(1) }
+func (m *Metrics) Fallback() { m.vals[mFallbacks].Add(1) }
 
 // Verified records one schedule set accepted by the independent
 // post-schedule verifier.
-func (m *Metrics) Verified() { m.verified.Add(1) }
+func (m *Metrics) Verified() { m.vals[mVerified].Add(1) }
 
 // Rejected records one schedule set the independent post-schedule verifier
 // refused to serve.
-func (m *Metrics) Rejected() { m.rejected.Add(1) }
+func (m *Metrics) Rejected() { m.vals[mRejected].Add(1) }
 
 // LintFindings records n synchronization-linter findings from one fresh
 // compilation (cache hits share the original compilation's findings and are
 // not recounted).
-func (m *Metrics) LintFindings(n int64) { m.lintFindings.Add(n) }
+func (m *Metrics) LintFindings(n int64) { m.vals[mLintFindings].Add(n) }
 
 // ObserveDeps records the dependence-analysis verdict counts of one fresh
 // compilation (cache hits share the original compilation's analysis and are
 // not recounted).
 func (m *Metrics) ObserveDeps(exact, independent, conservative int64) {
-	m.depExact.Add(exact)
-	m.depIndependent.Add(independent)
-	m.depConservative.Add(conservative)
+	m.vals[mDepExact].Add(exact)
+	m.vals[mDepIndependent].Add(independent)
+	m.vals[mDepConservative].Add(conservative)
 }
 
 // WorkerStart marks a request entering a worker; WorkerDone its exit.
-func (m *Metrics) WorkerStart() { m.inFlight.Add(1) }
+func (m *Metrics) WorkerStart() { m.vals[mInFlight].Add(1) }
 
 // WorkerDone marks a request leaving a worker.
-func (m *Metrics) WorkerDone() { m.inFlight.Add(-1) }
+func (m *Metrics) WorkerDone() { m.vals[mInFlight].Add(-1) }
 
 // QueueAdd adjusts the queued-request gauge by delta (positive when a batch
 // enqueues its requests, -1 as each is handed to a worker).
-func (m *Metrics) QueueAdd(delta int64) { m.queueDepth.Add(delta) }
+func (m *Metrics) QueueAdd(delta int64) { m.vals[mQueueDepth].Add(delta) }
 
 // ObserveSim records the paper-level counters of one served result: signals
 // sent and wait-stall cycles from the simulator, and the schedule's LBD/LFD
 // synchronization-arc split.
 func (m *Metrics) ObserveSim(signals, stalls, lbd, lfd int64) {
-	m.signals.Add(signals)
-	m.stallCycles.Add(stalls)
-	m.lbdArcs.Add(lbd)
-	m.lfdArcs.Add(lfd)
+	m.vals[mSignals].Add(signals)
+	m.vals[mStallCycles].Add(stalls)
+	m.vals[mLBDArcs].Add(lbd)
+	m.vals[mLFDArcs].Add(lfd)
 }
 
 // ObserveUtil folds one machine-level utilization report (the served
@@ -265,16 +240,16 @@ func (m *Metrics) ObserveUtil(u *sim.Utilization) {
 	if u == nil {
 		return
 	}
-	m.simCyclesIssued.Add(int64(u.IssuedCycles))
-	m.simCyclesSyncWait.Add(int64(u.SyncWaitCycles))
-	m.simCyclesWindowWait.Add(int64(u.WindowWaitCycles))
-	m.simCyclesDrain.Add(int64(u.DrainCycles))
-	m.simSlotsTotal.Add(int64(u.SlotsTotal))
-	m.simSlotsUsed.Add(int64(u.SlotsIssued))
-	m.simEmptyRAW.Add(int64(u.EmptyRAW))
-	m.simEmptyFUBusy.Add(int64(u.EmptyFUBusy))
-	m.simEmptyWidth.Add(int64(u.EmptyWidth))
-	m.simEmptyDrain.Add(int64(u.EmptyDrain))
+	m.vals[mCyclesIssued].Add(int64(u.IssuedCycles))
+	m.vals[mCyclesSyncWait].Add(int64(u.SyncWaitCycles))
+	m.vals[mCyclesWindowWait].Add(int64(u.WindowWaitCycles))
+	m.vals[mCyclesDrain].Add(int64(u.DrainCycles))
+	m.vals[mSlotsTotal].Add(int64(u.SlotsTotal))
+	m.vals[mSlotsUsed].Add(int64(u.SlotsIssued))
+	m.vals[mEmptyRAW].Add(int64(u.EmptyRAW))
+	m.vals[mEmptyFUBusy].Add(int64(u.EmptyFUBusy))
+	m.vals[mEmptyWidth].Add(int64(u.EmptyWidth))
+	m.vals[mEmptyDrain].Add(int64(u.EmptyDrain))
 }
 
 // AttachCache points snapshots at the batch's schedule cache, whose
@@ -422,6 +397,14 @@ type Stats struct {
 // Stats snapshots the registry.
 func (m *Metrics) Stats() Stats {
 	var out Stats
+	m.statsInto(&out)
+	return out
+}
+
+// statsInto snapshots the registry into the zero *out. The batch pipeline
+// fills its Batch.Stats in place: a local passed to the table's field
+// accessors would escape to the heap on every batch.
+func (m *Metrics) statsInto(out *Stats) {
 	m.mu.RLock()
 	if len(m.ranked) > 0 {
 		out.Stages = make([]StageStats, len(m.ranked))
@@ -438,38 +421,13 @@ func (m *Metrics) Stats() Stats {
 		}
 	}
 	m.mu.RUnlock()
-	out.CacheHits = m.hits.Load()
-	out.CacheMisses = m.misses.Load()
-	out.Panics = m.panics.Load()
-	out.Timeouts = m.timeouts.Load()
-	out.Fallbacks = m.fallbacks.Load()
-	out.Verified = m.verified.Load()
-	out.Rejected = m.rejected.Load()
-	out.LintFindings = m.lintFindings.Load()
-	out.DepExact = m.depExact.Load()
-	out.DepIndependent = m.depIndependent.Load()
-	out.DepConservative = m.depConservative.Load()
-	out.InFlight = m.inFlight.Load()
-	out.QueueDepth = m.queueDepth.Load()
-	out.SignalsSent = m.signals.Load()
-	out.WaitStallCycles = m.stallCycles.Load()
-	out.LBDArcs = m.lbdArcs.Load()
-	out.LFDArcs = m.lfdArcs.Load()
-	out.MachineCyclesIssued = m.simCyclesIssued.Load()
-	out.MachineCyclesSyncWait = m.simCyclesSyncWait.Load()
-	out.MachineCyclesWindowWait = m.simCyclesWindowWait.Load()
-	out.MachineCyclesDrain = m.simCyclesDrain.Load()
-	out.MachineSlotsTotal = m.simSlotsTotal.Load()
-	out.MachineSlotsUsed = m.simSlotsUsed.Load()
-	out.MachineEmptyRAW = m.simEmptyRAW.Load()
-	out.MachineEmptyFUBusy = m.simEmptyFUBusy.Load()
-	out.MachineEmptyIssueWidth = m.simEmptyWidth.Load()
-	out.MachineEmptyDrain = m.simEmptyDrain.Load()
+	for i := range metricTable {
+		*metricTable[i].Field(out) = m.vals[i].Load()
+	}
 	if c := m.cache.Load(); c != nil {
 		out.CacheEntries = int64(c.Len())
 		out.CacheEvictions = c.Evictions()
 	}
-	return out
 }
 
 // HitRate returns the cache hit fraction in [0, 1], 0 when the cache was

@@ -582,7 +582,7 @@ feed:
 		obs.I("requests", int64(len(reqs))),
 		obs.I("workers", int64(workers)),
 		obs.I("failed", int64(failed)))
-	batch.Stats = metrics.Stats()
+	metrics.statsInto(&batch.Stats)
 	return batch, nil
 }
 

@@ -1,169 +1,141 @@
 package pipeline
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
-	"strconv"
-	"sync"
+
+	"doacross/internal/obs"
 )
 
-// statsJSON marshals a snapshot for expvar (errors cannot happen: Stats is
-// a plain struct of integers, strings and durations).
-func statsJSON(s Stats) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
+// metric indexes the registry's counters and gauges: Metrics.vals holds one
+// atomic per metric and metricTable one exposition row per metric, both in
+// exposition order. Adding a counter takes a Stats field and a row here.
+type metric int
 
-// Prometheus text-format exposition of the metrics registry. The per-stage
-// latency buckets synthesize native Prometheus histograms (the bucket
-// bounds become cumulative `le` labels), the cache/robustness counters and
-// the liveness/cache gauges are exported under stable doacross_* names, and
-// the paper-level simulation counters ride along so dashboards can plot
-// Send_Signal traffic and wait-stall cycles next to wall-clock latency.
+const (
+	mCacheHits metric = iota
+	mCacheMisses
+	mCacheEvictions // read from the attached cache, not from vals
+	mPanics
+	mTimeouts
+	mFallbacks
+	mVerified
+	mRejected
+	mLintFindings
+	mDepExact
+	mDepIndependent
+	mDepConservative
+	mSignals
+	mStallCycles
+	mLBDArcs
+	mLFDArcs
+	// The machine-utilization rows, mSlotsTotal up to mInFlight, are
+	// exposed only once a traced simulation offered issue slots.
+	mSlotsTotal
+	mSlotsUsed
+	mCyclesIssued
+	mCyclesSyncWait
+	mCyclesWindowWait
+	mCyclesDrain
+	mEmptyRAW
+	mEmptyFUBusy
+	mEmptyWidth
+	mEmptyDrain
+	mInFlight
+	mQueueDepth
+	mCacheEntries // read from the attached cache, not from vals
+	numMetrics
+)
 
-// promBounds renders the shared bucket bounds as Prometheus `le` values in
-// seconds.
-func promBounds() []string {
-	out := make([]string, len(bucketBounds))
-	for i, b := range bucketBounds {
-		out[i] = strconv.FormatFloat(b.Seconds(), 'g', -1, 64)
-	}
-	return out
+// metricTable declares every counter and gauge of the registry once: its
+// exposition name, help and type, and the Stats field Stats fills and
+// WritePrometheus reads.
+var metricTable = [numMetrics]obs.Metric[Stats]{
+	mCacheHits: {Name: "doacross_cache_hits_total", Type: obs.Counter, Help: "Schedule-cache hits.",
+		Field: func(s *Stats) *int64 { return &s.CacheHits }},
+	mCacheMisses: {Name: "doacross_cache_misses_total", Type: obs.Counter, Help: "Schedule-cache misses.",
+		Field: func(s *Stats) *int64 { return &s.CacheMisses }},
+	mCacheEvictions: {Name: "doacross_cache_evictions_total", Type: obs.Counter, Help: "Schedule-cache entries evicted by the capacity bound.",
+		Field: func(s *Stats) *int64 { return &s.CacheEvictions }},
+	mPanics: {Name: "doacross_panics_recovered_total", Type: obs.Counter, Help: "Panics recovered inside workers, stages and passes.",
+		Field: func(s *Stats) *int64 { return &s.Panics }},
+	mTimeouts: {Name: "doacross_request_timeouts_total", Type: obs.Counter, Help: "Requests lost to deadlines or cancellation.",
+		Field: func(s *Stats) *int64 { return &s.Timeouts }},
+	mFallbacks: {Name: "doacross_fallbacks_total", Type: obs.Counter, Help: "Requests served by the verified program-order fallback schedule.",
+		Field: func(s *Stats) *int64 { return &s.Fallbacks }},
+	mVerified: {Name: "doacross_schedules_verified_total", Type: obs.Counter, Help: "Schedule sets accepted by the independent post-schedule verifier.",
+		Field: func(s *Stats) *int64 { return &s.Verified }},
+	mRejected: {Name: "doacross_schedules_rejected_total", Type: obs.Counter, Help: "Schedule sets the independent post-schedule verifier refused to serve.",
+		Field: func(s *Stats) *int64 { return &s.Rejected }},
+	mLintFindings: {Name: "doacross_lint_findings_total", Type: obs.Counter, Help: "Synchronization-linter findings across fresh compilations.",
+		Field: func(s *Stats) *int64 { return &s.LintFindings }},
+	mDepExact: {Name: "doacross_dep_exact_total", Type: obs.Counter, Help: "Dependence pairs proven exact (distances enumerated with witnesses) across fresh compilations.",
+		Field: func(s *Stats) *int64 { return &s.DepExact }},
+	mDepIndependent: {Name: "doacross_dep_independent_total", Type: obs.Counter, Help: "Dependence pairs proven independent (GCD or bound-separation certificate) across fresh compilations.",
+		Field: func(s *Stats) *int64 { return &s.DepIndependent }},
+	mDepConservative: {Name: "doacross_dep_conservative_total", Type: obs.Counter, Help: "Dependence pairs assumed conservative (undecidable residue) across fresh compilations.",
+		Field: func(s *Stats) *int64 { return &s.DepConservative }},
+	mSignals: {Name: "doacross_sim_signals_sent_total", Type: obs.Counter, Help: "Send_Signal issues across served simulations (paper-level sync traffic).",
+		Field: func(s *Stats) *int64 { return &s.SignalsSent }},
+	mStallCycles: {Name: "doacross_sim_wait_stall_cycles_total", Type: obs.Counter, Help: "Cycles lost to Wait_Signal stalls across served simulations.",
+		Field: func(s *Stats) *int64 { return &s.WaitStallCycles }},
+	mLBDArcs: {Name: "doacross_sched_lbd_arcs_total", Type: obs.Counter, Help: "Synchronization arcs left lexically backward by served schedules.",
+		Field: func(s *Stats) *int64 { return &s.LBDArcs }},
+	mLFDArcs: {Name: "doacross_sched_lfd_arcs_total", Type: obs.Counter, Help: "Synchronization arcs placed lexically forward by served schedules.",
+		Field: func(s *Stats) *int64 { return &s.LFDArcs }},
+	mSlotsTotal: {Name: "doacross_sim_issue_slots_total", Type: obs.Counter, Help: "Issue slots offered by the machine (procs x cycles x width) across traced served simulations.",
+		Field: func(s *Stats) *int64 { return &s.MachineSlotsTotal }},
+	mSlotsUsed: {Name: "doacross_sim_issue_slots_used_total", Type: obs.Counter, Help: "Issue slots actually filled by an instruction across traced served simulations.",
+		Field: func(s *Stats) *int64 { return &s.MachineSlotsUsed }},
+	mCyclesIssued: {Name: "doacross_sim_machine_cycles_total", Type: obs.Counter, Help: "Processor cycles across traced served simulations, split by attributed cause.",
+		Label: "cause", LabelValue: "issued", Field: func(s *Stats) *int64 { return &s.MachineCyclesIssued }},
+	mCyclesSyncWait: {Name: "doacross_sim_machine_cycles_total",
+		Label: "cause", LabelValue: "sync_wait", Field: func(s *Stats) *int64 { return &s.MachineCyclesSyncWait }},
+	mCyclesWindowWait: {Name: "doacross_sim_machine_cycles_total",
+		Label: "cause", LabelValue: "window_wait", Field: func(s *Stats) *int64 { return &s.MachineCyclesWindowWait }},
+	mCyclesDrain: {Name: "doacross_sim_machine_cycles_total",
+		Label: "cause", LabelValue: "drain", Field: func(s *Stats) *int64 { return &s.MachineCyclesDrain }},
+	mEmptyRAW: {Name: "doacross_sim_empty_slots_total", Type: obs.Counter, Help: "Empty issue slots on cycles that did issue, split by the static reason the slot stayed empty.",
+		Label: "cause", LabelValue: "raw", Field: func(s *Stats) *int64 { return &s.MachineEmptyRAW }},
+	mEmptyFUBusy: {Name: "doacross_sim_empty_slots_total",
+		Label: "cause", LabelValue: "fu_busy", Field: func(s *Stats) *int64 { return &s.MachineEmptyFUBusy }},
+	mEmptyWidth: {Name: "doacross_sim_empty_slots_total",
+		Label: "cause", LabelValue: "issue_width", Field: func(s *Stats) *int64 { return &s.MachineEmptyIssueWidth }},
+	mEmptyDrain: {Name: "doacross_sim_empty_slots_total",
+		Label: "cause", LabelValue: "drain", Field: func(s *Stats) *int64 { return &s.MachineEmptyDrain }},
+	mInFlight: {Name: "doacross_workers_in_flight", Type: obs.Gauge, Help: "Requests currently executing inside a worker.",
+		Field: func(s *Stats) *int64 { return &s.InFlight }},
+	mQueueDepth: {Name: "doacross_queue_depth", Type: obs.Gauge, Help: "Requests enqueued but not yet picked up by a worker.",
+		Field: func(s *Stats) *int64 { return &s.QueueDepth }},
+	mCacheEntries: {Name: "doacross_cache_entries", Type: obs.Gauge, Help: "Entries resident in the attached schedule cache.",
+		Field: func(s *Stats) *int64 { return &s.CacheEntries }},
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Histogram buckets are cumulative per the format;
-// the registry's per-stage buckets are disjoint, so they are summed on the
-// way out.
+// format: the per-stage latency buckets as a histogram plus per-stage run
+// and error counts, then metricTable — cache and robustness counters, the
+// paper-level simulation counters (Send_Signal traffic, wait-stall cycles,
+// the LBD/LFD arc split) so dashboards plot them next to wall-clock
+// latency, and the liveness and cache gauges.
 func (s Stats) WritePrometheus(w io.Writer) {
-	le := promBounds()
-	fmt.Fprintln(w, "# HELP doacross_stage_duration_seconds Latency of pipeline stages and compilation passes.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_duration_seconds histogram")
-	for _, st := range s.Stages {
-		cum := int64(0)
-		for i, bound := range le {
-			cum += st.Buckets[i]
-			fmt.Fprintf(w, "doacross_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n", st.Stage, bound, cum)
-		}
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st.Stage, st.Count)
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_sum{stage=%q} %s\n", st.Stage,
-			strconv.FormatFloat(st.Total.Seconds(), 'g', -1, 64))
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_count{stage=%q} %d\n", st.Stage, st.Count)
+	series := make([]obs.Series, len(s.Stages))
+	runs := make([]obs.Sample, len(s.Stages))
+	errs := make([]obs.Sample, len(s.Stages))
+	for i := range s.Stages {
+		st := &s.Stages[i]
+		series[i] = obs.Series{Label: st.Stage, Buckets: st.Buckets[:], Count: st.Count, Sum: st.Total}
+		runs[i] = obs.Sample{Label: st.Stage, Value: st.Count}
+		errs[i] = obs.Sample{Label: st.Stage, Value: st.Errors}
 	}
-
-	fmt.Fprintln(w, "# HELP doacross_stage_runs_total Completed executions per stage.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_runs_total counter")
-	for _, st := range s.Stages {
-		fmt.Fprintf(w, "doacross_stage_runs_total{stage=%q} %d\n", st.Stage, st.Count)
-	}
-	fmt.Fprintln(w, "# HELP doacross_stage_errors_total Failed executions per stage.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_errors_total counter")
-	for _, st := range s.Stages {
-		fmt.Fprintf(w, "doacross_stage_errors_total{stage=%q} %d\n", st.Stage, st.Errors)
-	}
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("doacross_cache_hits_total", "Schedule-cache hits.", s.CacheHits)
-	counter("doacross_cache_misses_total", "Schedule-cache misses.", s.CacheMisses)
-	counter("doacross_cache_evictions_total", "Schedule-cache entries evicted by the capacity bound.", s.CacheEvictions)
-	counter("doacross_panics_recovered_total", "Panics recovered inside workers, stages and passes.", s.Panics)
-	counter("doacross_request_timeouts_total", "Requests lost to deadlines or cancellation.", s.Timeouts)
-	counter("doacross_fallbacks_total", "Requests served by the verified program-order fallback schedule.", s.Fallbacks)
-	counter("doacross_schedules_verified_total", "Schedule sets accepted by the independent post-schedule verifier.", s.Verified)
-	counter("doacross_schedules_rejected_total", "Schedule sets the independent post-schedule verifier refused to serve.", s.Rejected)
-	counter("doacross_lint_findings_total", "Synchronization-linter findings across fresh compilations.", s.LintFindings)
-	counter("doacross_dep_exact_total", "Dependence pairs proven exact (distances enumerated with witnesses) across fresh compilations.", s.DepExact)
-	counter("doacross_dep_independent_total", "Dependence pairs proven independent (GCD or bound-separation certificate) across fresh compilations.", s.DepIndependent)
-	counter("doacross_dep_conservative_total", "Dependence pairs assumed conservative (undecidable residue) across fresh compilations.", s.DepConservative)
-	counter("doacross_sim_signals_sent_total", "Send_Signal issues across served simulations (paper-level sync traffic).", s.SignalsSent)
-	counter("doacross_sim_wait_stall_cycles_total", "Cycles lost to Wait_Signal stalls across served simulations.", s.WaitStallCycles)
-	counter("doacross_sched_lbd_arcs_total", "Synchronization arcs left lexically backward by served schedules.", s.LBDArcs)
-	counter("doacross_sched_lfd_arcs_total", "Synchronization arcs placed lexically forward by served schedules.", s.LFDArcs)
+	obs.WriteHistogram(w, "doacross_stage_duration_seconds", "Latency of pipeline stages and compilation passes.", "stage", bucketBounds[:], series)
+	obs.WriteFamily(w, "doacross_stage_runs_total", "Completed executions per stage.", obs.Counter, "stage", runs)
+	obs.WriteFamily(w, "doacross_stage_errors_total", "Failed executions per stage.", obs.Counter, "stage", errs)
+	obs.WriteMetrics(w, &s, metricTable[:mSlotsTotal])
 	if s.MachineSlotsTotal > 0 {
-		labeled := func(name, help string, vals ...struct {
-			label string
-			v     int64
-		}) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, lv := range vals {
-				fmt.Fprintf(w, "%s{cause=%q} %d\n", name, lv.label, lv.v)
-			}
-		}
-		type lv = struct {
-			label string
-			v     int64
-		}
-		counter("doacross_sim_issue_slots_total", "Issue slots offered by the machine (procs x cycles x width) across traced served simulations.", s.MachineSlotsTotal)
-		counter("doacross_sim_issue_slots_used_total", "Issue slots actually filled by an instruction across traced served simulations.", s.MachineSlotsUsed)
-		labeled("doacross_sim_machine_cycles_total",
-			"Processor cycles across traced served simulations, split by attributed cause.",
-			lv{"issued", s.MachineCyclesIssued},
-			lv{"sync_wait", s.MachineCyclesSyncWait},
-			lv{"window_wait", s.MachineCyclesWindowWait},
-			lv{"drain", s.MachineCyclesDrain})
-		labeled("doacross_sim_empty_slots_total",
-			"Empty issue slots on cycles that did issue, split by the static reason the slot stayed empty.",
-			lv{"raw", s.MachineEmptyRAW},
-			lv{"fu_busy", s.MachineEmptyFUBusy},
-			lv{"issue_width", s.MachineEmptyIssueWidth},
-			lv{"drain", s.MachineEmptyDrain})
+		obs.WriteMetrics(w, &s, metricTable[mSlotsTotal:mInFlight])
 	}
-	gauge("doacross_workers_in_flight", "Requests currently executing inside a worker.", s.InFlight)
-	gauge("doacross_queue_depth", "Requests enqueued but not yet picked up by a worker.", s.QueueDepth)
-	gauge("doacross_cache_entries", "Entries resident in the attached schedule cache.", s.CacheEntries)
+	obs.WriteMetrics(w, &s, metricTable[mInFlight:])
 }
 
 // WritePrometheus snapshots the registry and writes the exposition; the
 // obs.Server /metrics hook is exactly this method.
 func (m *Metrics) WritePrometheus(w io.Writer) { m.Stats().WritePrometheus(w) }
-
-// expvarMu serializes expvar publication (expvar.Publish panics on
-// duplicate names, and tests publish concurrently under -race).
-var expvarMu sync.Mutex
-
-// PublishExpvar publishes the registry under the given expvar name (default
-// "doacross.pipeline"): `GET /debug/vars` then carries the full Stats
-// snapshot as JSON. Publishing the same name twice rebinds it to the latest
-// registry instead of panicking.
-func (m *Metrics) PublishExpvar(name string) {
-	if name == "" {
-		name = "doacross.pipeline"
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if h, ok := v.(*expvarHolder); ok {
-			h.mu.Lock()
-			h.m = m
-			h.mu.Unlock()
-			return
-		}
-		return // name taken by someone else; leave it alone
-	}
-	h := &expvarHolder{m: m}
-	expvar.Publish(name, h)
-}
-
-// expvarHolder adapts a Metrics registry to expvar.Var, rebinding-friendly.
-type expvarHolder struct {
-	mu sync.Mutex
-	m  *Metrics
-}
-
-// String implements expvar.Var: the JSON of a fresh Stats snapshot.
-func (h *expvarHolder) String() string {
-	h.mu.Lock()
-	m := h.m
-	h.mu.Unlock()
-	return statsJSON(m.Stats())
-}

@@ -11,6 +11,7 @@
 package scheditest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,14 +20,12 @@ import (
 
 	"doacross/internal/check"
 	"doacross/internal/core"
-	"doacross/internal/dep"
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/lang"
 	"doacross/internal/model"
+	"doacross/internal/passes"
 	"doacross/internal/sim"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
 )
 
 // Case is one conformance corpus entry.
@@ -61,20 +60,15 @@ func Corpus(t testing.TB, dir string) []Case {
 			t.Fatalf("scheditest: %s: %v", name, err)
 		}
 		for i, l := range f.Loops {
-			a := dep.Analyze(l)
-			prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-			if err != nil {
-				t.Fatalf("scheditest: %s: %v", name, err)
-			}
-			g, err := dfg.Build(prog, a)
+			c, err := passes.CompileLoop(l, passes.Options{})
 			if err != nil {
 				t.Fatalf("scheditest: %s: %v", name, err)
 			}
 			label := name
 			if len(f.Loops) > 1 {
-				label = name + "#" + string(rune('1'+i))
+				label = fmt.Sprintf("%s#%d", name, i+1)
 			}
-			cases = append(cases, Case{Name: label, Graph: g})
+			cases = append(cases, Case{Name: label, Graph: c.Graph})
 		}
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })

@@ -244,8 +244,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/schedule", s.recovered(s.handleSchedule))
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/stats", s.handleStats)
+	mux.Handle("/metrics", obs.MetricsHandler(s.writePrometheus))
+	mux.Handle("/stats", obs.JSONHandler(s.stats))
 	mux.HandleFunc("/debug/flightrecord", s.handleFlightRecord)
 	return mux
 }
@@ -306,9 +306,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 				Err:        resp.Error,
 			}})
 	}
-	s.sm.requests.Add(1)
+	s.sm[mRequests].Add(1)
 	if s.draining.Load() {
-		s.sm.shedDraining.Add(1)
+		s.sm[mShedDraining].Add(1)
 		deny(slog.LevelWarn, http.StatusServiceUnavailable, time.Second,
 			ErrorResponse{Error: "daemon is draining for shutdown", Reason: "draining"})
 		return
@@ -316,7 +316,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxSourceBytes()))
 	if err := dec.Decode(&req); err != nil {
-		s.sm.clientErrors.Add(1)
+		s.sm[mClientErrors].Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -324,12 +324,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		name = req.Name
 	}
 	if strings.TrimSpace(req.Source) == "" {
-		s.sm.clientErrors.Add(1)
+		s.sm[mClientErrors].Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: "missing source"})
 		return
 	}
 	if req.N < 0 {
-		s.sm.clientErrors.Add(1)
+		s.sm[mClientErrors].Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: fmt.Sprintf("negative trip count n=%d", req.N)})
 		return
 	}
@@ -345,7 +345,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	backend = backendName(opt.Compile.Backend)
 	if _, err := passes.Backend(opt.Compile.Backend, passes.BackendConfig{Sync: opt.Sync, Exact: opt.Compile.Exact}); err != nil {
-		s.sm.clientErrors.Add(1)
+		s.sm[mClientErrors].Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -354,8 +354,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// failures (served 503) here, before any admission decision.
 	if s.cfg.FaultHook != nil {
 		if err := s.cfg.FaultHook(stageNet, name); err != nil {
-			s.sm.netFaults.Add(1)
-			s.sm.serverErrors.Add(1)
+			s.sm[mNetFaults].Add(1)
+			s.sm[mServerErrors].Add(1)
 			deny(slog.LevelWarn, http.StatusServiceUnavailable, time.Second,
 				ErrorResponse{Error: "network fault: " + err.Error()})
 			return
@@ -364,13 +364,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	// Admission control: token bucket, then circuit, then bounded queue.
 	if ok, wait := s.limiter.admit(r.Header.Get("X-Tenant"), time.Now()); !ok {
-		s.sm.shedRate.Add(1)
+		s.sm[mShedRate].Add(1)
 		deny(slog.LevelWarn, http.StatusTooManyRequests, wait,
 			ErrorResponse{Error: "tenant rate limit exceeded", Reason: "ratelimit"})
 		return
 	}
 	if ok, wait := s.breakers.allow(backend, time.Now()); !ok {
-		s.sm.shedBreaker.Add(1)
+		s.sm[mShedBreaker].Add(1)
 		deny(slog.LevelWarn, http.StatusServiceUnavailable, wait,
 			ErrorResponse{Error: fmt.Sprintf("backend %q circuit open", backend), Reason: "breaker"})
 		return
@@ -383,7 +383,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	release, admitted := s.adm.acquire(ctx)
 	if !admitted {
-		s.sm.shedQueue.Add(1)
+		s.sm[mShedQueue].Add(1)
 		deny(slog.LevelWarn, http.StatusServiceUnavailable, time.Second,
 			ErrorResponse{Error: "admission queue full", Reason: "queue"})
 		return
@@ -426,9 +426,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return &b.Loops[0], nil
 	})
 	if coalesced {
-		s.sm.coalesced.Add(1)
+		s.sm[mCoalesced].Add(1)
 	} else {
-		s.sm.flights.Add(1)
+		s.sm[mFlights].Add(1)
 	}
 	var spans []obs.SpanNode
 	if frec != nil {
@@ -447,7 +447,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// Our own deadline expired; the flight may still finish for
 			// other waiters, so this says nothing about backend health.
-			s.sm.timeouts.Add(1)
+			s.sm[mTimeouts].Add(1)
 			writeError(w, http.StatusGatewayTimeout, 0, ErrorResponse{Error: err.Error(), RequestID: rid})
 			s.log.Error("request deadline breached",
 				"request_id", rid, "loop", name, "backend", backend,
@@ -456,7 +456,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			s.maybeDump("deadline")
 			return
 		}
-		s.sm.serverErrors.Add(1)
+		s.sm[mServerErrors].Add(1)
 		recordBreaker(false, coalesced)
 		writeError(w, http.StatusInternalServerError, 0, ErrorResponse{Error: err.Error(), RequestID: rid})
 		s.log.Error("flight failed",
@@ -481,7 +481,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// fallback passed internal/check — but they mean the backend failed,
 	// which is exactly what the circuit breaker wants to know.
 	recordBreaker(!res.Degraded(), coalesced)
-	s.sm.responsesOK.Add(1)
+	s.sm[mResponsesOK].Add(1)
 	resp := &ScheduleResponse{
 		Name:      res.Name,
 		N:         res.N,
@@ -537,13 +537,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 func (s *Server) finishError(w http.ResponseWriter, res *pipeline.LoopResult, rid string, recordBreaker func(ok bool)) int {
 	err := res.Err
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.sm.timeouts.Add(1)
+		s.sm[mTimeouts].Add(1)
 		writeError(w, http.StatusGatewayTimeout, 0, ErrorResponse{Error: err.Error(), RequestID: rid})
 		return http.StatusGatewayTimeout
 	}
 	var d *diag.Diagnostic
 	if errors.As(err, &d) && !strings.Contains(d.Msg, "panic:") {
-		s.sm.clientErrors.Add(1)
+		s.sm[mClientErrors].Add(1)
 		resp := ErrorResponse{Error: err.Error(), RequestID: rid}
 		for _, dd := range res.Diags {
 			resp.Diagnostics = append(resp.Diagnostics, dd.Error())
@@ -551,7 +551,7 @@ func (s *Server) finishError(w http.ResponseWriter, res *pipeline.LoopResult, ri
 		writeError(w, http.StatusBadRequest, 0, resp)
 		return http.StatusBadRequest
 	}
-	s.sm.serverErrors.Add(1)
+	s.sm[mServerErrors].Add(1)
 	recordBreaker(false)
 	writeError(w, http.StatusInternalServerError, 0, ErrorResponse{Error: err.Error(), RequestID: rid})
 	return http.StatusInternalServerError
@@ -575,36 +575,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp["disk_loaded"] = s.loadStats.Loaded
 	}
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w)
-	s.writePrometheus(w)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := map[string]any{
-		"server":   s.sm.snapshot(s.breakerOpens()),
-		"pipeline": s.metrics.Stats(),
-	}
-	if s.disk != nil {
-		resp["disk"] = s.disk.Stats()
-		resp["load"] = s.loadStats
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) breakerOpens() int64 {
-	if s.breakers == nil {
-		return 0
-	}
-	return s.breakers.opens.Load()
 }
 
 // Start listens on addr (":0" picks a free port) and serves the daemon in

@@ -10,14 +10,12 @@ import (
 
 	"doacross/internal/check"
 	"doacross/internal/core"
-	"doacross/internal/dep"
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/exact"
 	"doacross/internal/lang"
 	"doacross/internal/model"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
+	"doacross/internal/passes"
 )
 
 // GapLoop is one compiled loop entering the optimality-gap audit.
@@ -37,12 +35,7 @@ func CompileGapLoops(name, src string) ([]GapLoop, error) {
 	}
 	var out []GapLoop
 	for i, l := range f.Loops {
-		a := dep.Analyze(l)
-		prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-		if err != nil {
-			return nil, fmt.Errorf("gap: %s: %w", name, err)
-		}
-		g, err := dfg.Build(prog, a)
+		c, err := passes.CompileLoop(l, passes.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("gap: %s: %w", name, err)
 		}
@@ -50,7 +43,7 @@ func CompileGapLoops(name, src string) ([]GapLoop, error) {
 		if len(f.Loops) > 1 {
 			label = fmt.Sprintf("%s#%d", name, i+1)
 		}
-		out = append(out, GapLoop{Name: label, Graph: g})
+		out = append(out, GapLoop{Name: label, Graph: c.Graph})
 	}
 	return out, nil
 }

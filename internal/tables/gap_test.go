@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"doacross/internal/passes"
 	"doacross/internal/perfect"
 )
 
@@ -28,11 +29,11 @@ func gapCorpus(t testing.TB, want int) []GapLoop {
 				t.Fatalf("generate %s: %v", p.Name, err)
 			}
 			for li, l := range s.Loops {
-				c, err := compileLoop(l)
+				c, err := passes.CompileLoop(l.AST, passes.Options{})
 				if err != nil {
 					t.Fatalf("compile %s loop %d:\n%s\n%v", p.Name, li, l.Source, err)
 				}
-				out = append(out, GapLoop{Name: fmt.Sprintf("%s/%d", p.Name, li), Graph: c.g})
+				out = append(out, GapLoop{Name: fmt.Sprintf("%s/%d", p.Name, li), Graph: c.Graph})
 				if len(out) >= want {
 					return out
 				}

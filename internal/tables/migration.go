@@ -5,15 +5,11 @@ import (
 	"strings"
 
 	"doacross/internal/core"
-	"doacross/internal/dep"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
-	"doacross/internal/migrate"
 	"doacross/internal/model"
+	"doacross/internal/passes"
 	"doacross/internal/perfect"
 	"doacross/internal/sim"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
 )
 
 // MigRow is one benchmark's three-way comparison: traditional list
@@ -48,35 +44,25 @@ func RunMigration(suites []*perfect.Suite, cfg dlx.Config, baseline core.ListPri
 	for _, s := range suites {
 		row := MigRow{Name: s.Profile.Name}
 		for li, l := range s.Doacross() {
-			a := dep.Analyze(l.AST)
 			// Plain list and new scheduling on the original order.
-			cl, err := compileLoop(l)
+			cl, err := passes.CompileLoop(l.AST, passes.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("tables: %s loop %d: %w", s.Profile.Name, li, err)
 			}
-			list, err := core.List(cl.g, cfg, baseline)
+			list, err := core.List(cl.Graph, cfg, baseline)
 			if err != nil {
 				return nil, err
 			}
-			syn, err := core.Sync(cl.g, cfg)
+			syn, err := core.Sync(cl.Graph, cfg)
 			if err != nil {
 				return nil, err
 			}
 			// Migration, then list scheduling of the migrated loop.
-			mig, err := migrate.Migrate(a)
+			mc, err := passes.CompileLoop(l.AST, passes.Options{Migrate: true})
 			if err != nil {
 				return nil, err
 			}
-			ma := dep.Analyze(mig.Loop)
-			mprog, err := tac.Generate(syncop.Insert(ma, syncop.Options{}))
-			if err != nil {
-				return nil, err
-			}
-			mg, err := dfg.Build(mprog, ma)
-			if err != nil {
-				return nil, err
-			}
-			mlist, err := core.List(mg, cfg, baseline)
+			mlist, err := core.List(mc.Graph, cfg, baseline)
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +82,7 @@ func RunMigration(suites []*perfect.Suite, cfg dlx.Config, baseline core.ListPri
 			row.List += tl.Total
 			row.Mig += tm.Total
 			row.Sync += ts.Total
-			row.ConvertedByMig += mig.Before - mig.After
+			row.ConvertedByMig += mc.Migration.Before - mc.Migration.After
 		}
 		row.MigPct = model.Speedup(row.List, row.Mig)
 		row.SyncPct = model.Speedup(row.List, row.Sync)

@@ -10,14 +10,10 @@ import (
 	"strings"
 
 	"doacross/internal/core"
-	"doacross/internal/dep"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/model"
 	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
 )
 
 // NumConfigs is the number of machine configurations in Table 2.
@@ -90,25 +86,6 @@ type LoopFailure struct {
 	Name string
 	// Err is the per-loop pipeline error.
 	Err error
-}
-
-// compiled caches one loop's analysis pipeline output.
-type compiled struct {
-	prog *tac.Program
-	g    *dfg.Graph
-}
-
-func compileLoop(l perfect.Loop) (compiled, error) {
-	a := dep.Analyze(l.AST)
-	prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-	if err != nil {
-		return compiled{}, err
-	}
-	g, err := dfg.Build(prog, a)
-	if err != nil {
-		return compiled{}, err
-	}
-	return compiled{prog: prog, g: g}, nil
 }
 
 // Run generates the suites and produces all tables with the default
