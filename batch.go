@@ -25,7 +25,7 @@ type (
 	// order plus a metrics snapshot.
 	Batch = pipeline.Batch
 	// BatchOptions configures a batch run (workers, machines, trip count,
-	// baseline, ablation knobs, cache, metrics).
+	// baseline, compile options and backend, cache, metrics).
 	BatchOptions = pipeline.Options
 	// BatchRequest is one loop to schedule (source text or parsed Loop).
 	BatchRequest = pipeline.Request
@@ -79,14 +79,6 @@ func NewBatchMetrics() *BatchMetrics { return pipeline.NewMetrics() }
 // BatchOptions.Observer to trace a batch end to end.
 func NewTraceRecorder(n int) *TraceRecorder { return obs.NewRecorder(n) }
 
-// NewBoundedScheduleCache returns a schedule cache holding at most capacity
-// entries; over the bound, arbitrary entries are evicted (and counted in
-// BatchStats.CacheEvictions). Every cached value is a pure function of its
-// key, so eviction costs a recompute, never correctness.
-func NewBoundedScheduleCache(capacity int) *ScheduleCache {
-	return pipeline.NewCacheBounded(capacity)
-}
-
 // ScheduleAll compiles, schedules and simulates every source loop through
 // the concurrent batch pipeline. Per-loop failures are reported in
 // Batch.Loops[i].Err (see Batch.FirstErr); ScheduleAll only fails on
@@ -110,14 +102,9 @@ func ScheduleAllContext(ctx context.Context, sources []string, opt BatchOptions)
 
 // ScheduleAllLoops is ScheduleAll over already parsed loops.
 func ScheduleAllLoops(loops []*Loop, opt BatchOptions) (*Batch, error) {
-	return ScheduleAllLoopsContext(context.Background(), loops, opt)
-}
-
-// ScheduleAllLoopsContext is ScheduleAllLoops under a cancellation context.
-func ScheduleAllLoopsContext(ctx context.Context, loops []*Loop, opt BatchOptions) (*Batch, error) {
 	reqs := make([]BatchRequest, len(loops))
 	for i, l := range loops {
 		reqs[i] = BatchRequest{Name: fmt.Sprintf("loop%d", i), Loop: l}
 	}
-	return pipeline.RunContext(ctx, reqs, opt)
+	return pipeline.Run(reqs, opt)
 }

@@ -161,9 +161,9 @@ func Compile(src string) (*Program, error) {
 }
 
 // CompileLoop compiles an already parsed loop through the default pass
-// pipeline.
+// pipeline. The input loop is not modified.
 func CompileLoop(loop *Loop) (*Program, error) {
-	return CompileLoopWith(loop, CompileOptions{})
+	return programFrom(passes.CompileLoop(loop, CompileOptions{}))
 }
 
 // CompileWith parses and compiles a loop through a pass pipeline configured
@@ -177,35 +177,18 @@ func CompileWith(src string, opt CompileOptions) (*Program, error) {
 // between compilation passes: a compilation caught by a deadline stops at
 // the next pass boundary and reports the context's error.
 func CompileWithContext(ctx context.Context, src string, opt CompileOptions) (*Program, error) {
-	pctx, err := passes.CompileCtx(ctx, src, opt)
+	return programFrom(passes.CompileCtx(ctx, src, opt))
+}
+
+// programFrom maps a compile result onto the facade Program.
+func programFrom(ctx *passes.Context, err error) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return programFrom(pctx), nil
-}
-
-// CompileLoopWith is CompileWith over an already parsed loop. Transforming
-// passes do not modify the input loop; Program.Loop holds the rewritten
-// copy.
-func CompileLoopWith(loop *Loop, opt CompileOptions) (*Program, error) {
-	return CompileLoopWithContext(context.Background(), loop, opt)
-}
-
-// CompileLoopWithContext is CompileLoopWith under a cancellation context.
-func CompileLoopWithContext(ctx context.Context, loop *Loop, opt CompileOptions) (*Program, error) {
-	pctx, err := passes.CompileLoopCtx(ctx, loop, opt)
-	if err != nil {
-		return nil, err
-	}
-	return programFrom(pctx), nil
-}
-
-// programFrom maps a completed compile context onto the facade Program.
-func programFrom(ctx *passes.Context) *Program {
 	return &Program{
 		Loop: ctx.Loop, Analysis: ctx.Analysis, Sync: ctx.Sync,
 		Code: ctx.Code, Graph: ctx.Graph, Trace: ctx.Trace, Diags: ctx.Diags,
-	}
+	}, nil
 }
 
 // CompileBest compiles the loop twice — once with the precise dependence
@@ -338,7 +321,7 @@ func BackendNames() []string { return passes.BackendNames() }
 // Backend resolves a scheduling backend by name with default knobs; the
 // empty name is "sync". Unknown names fail with the accepted list.
 func Backend(name string) (Scheduler, error) {
-	return passes.Backend(name, passes.BackendConfig{})
+	return passes.Backend(name, ExactOptions{})
 }
 
 // Schedule builds a schedule through the named backend. Unlike the
@@ -350,14 +333,6 @@ func (p *Program) Schedule(backend string, m Machine) (*ScheduleOutcome, error) 
 		return nil, err
 	}
 	return sch.Schedule(p.Graph, m)
-}
-
-// ScheduleExact runs the branch-and-bound solver (internal/exact): it
-// minimizes the paper's T = (n/d)(i-j) + l directly and returns the schedule
-// with its proof — Optimal when the search completed, otherwise the best
-// schedule found plus a proven lower bound and a budget diagnostic.
-func (p *Program) ScheduleExact(m Machine, opt ExactOptions) (*ScheduleOutcome, error) {
-	return exact.Backend{Opt: opt}.Schedule(p.Graph, m)
 }
 
 // Simulate computes the parallel execution time of n iterations on n
@@ -595,7 +570,7 @@ func (p *Program) Unroll(k int) (*Program, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("unroll: factor %d < 1", k)
 	}
-	return CompileLoopWith(p.Loop, CompileOptions{Unroll: k})
+	return programFrom(passes.CompileLoop(p.Loop, CompileOptions{Unroll: k}))
 }
 
 // MachineCode is an assembled DLX-like binary of one iteration body.

@@ -17,7 +17,7 @@ import (
 )
 
 // VerifyLoaded verifies a schedule set deserialized from the persistent
-// tier before it may re-enter service: each non-nil schedule passes the
+// tier before it may re-enter service: the list and sync schedules pass the
 // full independent verification (Verify: shape, dependence order, both
 // synchronization conditions, resource feasibility, deadlock freedom,
 // LBD/LFD agreement), and the set's recorded simulated time for the served
@@ -30,18 +30,16 @@ import (
 //
 // Like Verify, VerifyLoaded never panics, whatever shape the deserialized
 // schedules are in — it is safe on adversarially mutated inputs.
-func (v *Verifier) VerifyLoaded(list, sync, best *core.Schedule, syncTime, n int) diag.List {
-	var out diag.List
+func (v *Verifier) VerifyLoaded(list, sync *core.Schedule, syncTime, n int) diag.List {
 	if sync == nil {
-		out = append(out, diag.Errorf(Stage, diag.Pos{},
-			"loaded entry has no synchronization-aware schedule"))
-		return out
+		return diag.List{diag.Errorf(Stage, diag.Pos{},
+			"loaded entry has no synchronization-aware schedule")}
 	}
-	for _, s := range []*core.Schedule{list, sync, best} {
-		if s == nil {
-			continue
+	var out diag.List
+	for _, s := range []*core.Schedule{list, sync} {
+		if s != nil {
+			out = append(out, v.Verify(s)...)
 		}
-		out = append(out, v.Verify(s)...)
 	}
 	if Err(out) == nil {
 		out = append(out, VerifyTiming(sync, syncTime, n)...)

@@ -81,9 +81,9 @@ func mutants(s *core.Schedule, edges []check.Edge) map[string]*core.Schedule {
 
 // verifyLoadedOneShot is VerifyLoaded composed from the one-shot checks, as
 // its documentation defines it.
-func verifyLoadedOneShot(list, sync, best *core.Schedule, syncTime, n int) diag.List {
+func verifyLoadedOneShot(list, sync *core.Schedule, syncTime, n int) diag.List {
 	var out diag.List
-	for _, s := range []*core.Schedule{list, sync, best} {
+	for _, s := range []*core.Schedule{list, sync} {
 		if s != nil {
 			out = append(out, check.Verify(s)...)
 		}
@@ -146,7 +146,7 @@ func TestVerifierMatchesVerify(t *testing.T) {
 			}
 
 			// Timing mutations through the load-time check.
-			list, sync, best := set[0], set[1], set[2]
+			list, sync := set[0], set[1]
 			total := doacross.Simulate(sync, n).Total
 			for _, tc := range []struct {
 				name    string
@@ -158,11 +158,11 @@ func TestVerifierMatchesVerify(t *testing.T) {
 				{"below prediction", doacross.Predict(sync, n) - 1, true},
 			} {
 				what := fmt.Sprintf("loop %d, %s, timing %s", i, m.Name, tc.name)
-				got := v.VerifyLoaded(list, sync, best, tc.total, n)
+				got := v.VerifyLoaded(list, sync, tc.total, n)
 				if (check.Err(got) != nil) != tc.wantErr {
 					t.Errorf("%s: error = %v, want error %v", what, check.Err(got), tc.wantErr)
 				}
-				sameDiags(t, what, got, verifyLoadedOneShot(list, sync, best, tc.total, n))
+				sameDiags(t, what, got, verifyLoadedOneShot(list, sync, tc.total, n))
 			}
 		}
 	}

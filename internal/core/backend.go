@@ -61,17 +61,14 @@ type ScratchScheduler interface {
 
 // SyncScheduler is the paper's synchronization-aware heuristic behind the
 // Scheduler seam.
-type SyncScheduler struct {
-	// Opts are the ablation knobs; the zero value is the paper's algorithm.
-	Opts SyncOptions
-}
+type SyncScheduler struct{}
 
 // Name implements Scheduler.
 func (SyncScheduler) Name() string { return "sync" }
 
 // Schedule implements Scheduler.
-func (b SyncScheduler) Schedule(g *dfg.Graph, cfg dlx.Config) (*Outcome, error) {
-	s, err := SyncWithOptions(g, cfg, b.Opts)
+func (SyncScheduler) Schedule(g *dfg.Graph, cfg dlx.Config) (*Outcome, error) {
+	s, err := Sync(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,8 +76,8 @@ func (b SyncScheduler) Schedule(g *dfg.Graph, cfg dlx.Config) (*Outcome, error) 
 }
 
 // ScheduleScratch implements ScratchScheduler.
-func (b SyncScheduler) ScheduleScratch(sc *Scratch, g *dfg.Graph, cfg dlx.Config) (*Schedule, error) {
-	return sc.SyncWithOptions(g, cfg, b.Opts)
+func (SyncScheduler) ScheduleScratch(sc *Scratch, g *dfg.Graph, cfg dlx.Config) (*Schedule, error) {
+	return sc.Sync(g, cfg)
 }
 
 // ListScheduler is the baseline list scheduler behind the Scheduler seam.

@@ -8,17 +8,6 @@ import (
 	"doacross/internal/exact"
 )
 
-// BackendConfig carries the per-backend knobs a resolved Scheduler is built
-// with. The zero value configures every backend with its defaults (the
-// paper's heuristic, critical-path list priority, the exact solver's
-// default trip count and node budget).
-type BackendConfig struct {
-	// Sync configures the paper's heuristic ("sync" backend).
-	Sync core.SyncOptions
-	// Exact configures the branch-and-bound solver ("exact" backend).
-	Exact exact.Options
-}
-
 // BackendNames lists the recognized scheduling backend names, sorted. The
 // empty name is accepted as an alias for "sync" (the paper's heuristic, the
 // historical default).
@@ -34,12 +23,13 @@ func BackendNames() []string {
 //	"best"     the never-degrades pick among sync and both list baselines
 //	"exact"    the branch-and-bound solver (internal/exact)
 //
-// Unknown names fail with the accepted list, so a mistyped -backend flag
-// surfaces before any compilation work happens.
-func Backend(name string, cfg BackendConfig) (core.Scheduler, error) {
+// ex configures the exact backend and is ignored by the others. Unknown
+// names fail with the accepted list, so a mistyped -backend flag surfaces
+// before any compilation work happens.
+func Backend(name string, ex exact.Options) (core.Scheduler, error) {
 	switch name {
 	case "", "sync":
-		return core.SyncScheduler{Opts: cfg.Sync}, nil
+		return core.SyncScheduler{}, nil
 	case "list":
 		return core.ListScheduler{Priority: core.CriticalPath}, nil
 	case "order":
@@ -47,7 +37,7 @@ func Backend(name string, cfg BackendConfig) (core.Scheduler, error) {
 	case "best":
 		return core.BestScheduler{}, nil
 	case "exact":
-		return exact.Backend{Opt: cfg.Exact}, nil
+		return exact.Backend{Opt: ex}, nil
 	default:
 		return nil, fmt.Errorf("passes: unknown scheduling backend %q (have %s)",
 			name, strings.Join(BackendNames(), ", "))

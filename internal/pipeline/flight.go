@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"doacross/internal/dfg"
+	"doacross/internal/dlx"
 	"doacross/internal/passes"
 )
 
@@ -98,6 +99,28 @@ func (k *salts) renderExact(n int) string {
 		n = k.exactN
 	}
 	return "exactN=" + strconv.Itoa(n)
+}
+
+// schedKey is the schedule-cache key of graph fp on cfg; exSalt is the
+// exact backend's trip-count salt ("" for every other backend, which keeps
+// it out of the key).
+func (k *salts) schedKey(fp dfg.Fingerprint, cfg dlx.Config, exSalt string) dfg.Fingerprint {
+	if exSalt != "" {
+		return dfg.KeyFrom(fp, cfg, "sched", k.sched, exSalt)
+	}
+	return dfg.KeyFrom(fp, cfg, "sched", k.sched)
+}
+
+// timeKey is the time-cache key of graph fp on cfg: the schedule key's
+// coordinates plus the trip-count/window salt nw.
+func (k *salts) timeKey(fp dfg.Fingerprint, cfg dlx.Config, nw, exSalt string) dfg.Fingerprint {
+	return dfg.KeyFrom(fp, cfg, "time", k.sched, nw, exSalt)
+}
+
+// diskKey is the content address of a persisted entry: the time key's
+// coordinates in a key space disjoint from the in-memory keys.
+func (k *salts) diskKey(fp dfg.Fingerprint, cfg dlx.Config, nw, exSalt string) dfg.Fingerprint {
+	return dfg.KeyFrom(fp, cfg, "disk", k.sched, nw, exSalt)
 }
 
 // Keys computes RequestKey for one option set, with every option-derived

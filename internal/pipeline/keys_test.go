@@ -144,11 +144,10 @@ func TestGoldenKeys(t *testing.T) {
 
 // TestGoldenKeysAllKnobs pins the request key, and through it the salt
 // strings, with every key-relevant option away from its default: the
-// scheduler knobs, the compile passes and dumps, the exact backend's trip
+// baseline priority, the compile passes and dumps, the exact backend's trip
 // count, the window, the machines and non-default trip counts.
 func TestGoldenKeysAllKnobs(t *testing.T) {
-	opt := Options{Baseline: core.CriticalPath, Best: true, Window: 3, N: 40, Machines: dlx.PaperConfigs()[1:3]}
-	opt.Sync = core.SyncOptions{NoPairArcs: true, NoSPPriority: true, AscendingSP: true}
+	opt := Options{Baseline: core.CriticalPath, Window: 3, N: 40, Machines: dlx.PaperConfigs()[1:3]}
 	opt.Compile.Unroll = 2
 	opt.Compile.Migrate = true
 	opt.Compile.NoIfConvert = true
@@ -156,7 +155,7 @@ func TestGoldenKeysAllKnobs(t *testing.T) {
 	opt.Compile.Dump = []string{"parse", "graph"}
 	opt.Compile.Backend = "exact"
 	opt.Compile.Exact.N = 50
-	if got, want := opt.salt(), "base=1 sync=true/false/true/true best=true backend=exact"; got != want {
+	if got, want := opt.salt(), "base=1 sync=false/false/false/false best=false backend=exact"; got != want {
 		t.Errorf("salt = %q, want %q", got, want)
 	}
 	if got, want := opt.compileSalt(), "u=2 mig=true noif=true flow=true dump=parse,graph"; got != want {
@@ -167,9 +166,9 @@ func TestGoldenKeysAllKnobs(t *testing.T) {
 		n    int
 		want string
 	}{
-		{0, "7d650a1006233fd555de5a91d2e8f98bd56271c4a2c0ca09663fed03da353a8e"},
-		{40, "7d650a1006233fd555de5a91d2e8f98bd56271c4a2c0ca09663fed03da353a8e"},
-		{77, "22eb934d7dac12fc594de4e320e94b793f24049eb274ef27032f23cc50291476"},
+		{0, "c81847671d2c0f1936882441c6c749ecc2e2a5738241793c779523179f0bf073"},
+		{40, "c81847671d2c0f1936882441c6c749ecc2e2a5738241793c779523179f0bf073"},
+		{77, "13d0a4a930f8781f9ca7884e57560236beca93a9968c398b5da5e04c0ee7f21f"},
 	} {
 		req := Request{Source: fig1, N: tc.n}
 		if got := hexKey(keys.Request(req)); got != tc.want {
@@ -180,7 +179,7 @@ func TestGoldenKeysAllKnobs(t *testing.T) {
 		}
 	}
 	opt.Compile.Exact.N = 0
-	const want = "a0e76ccebc0c71454fb2e70990b71ecd68fafbbb95d396cbdc8895dc059d8c7d"
+	const want = "87a102031d57a9a1596635a965216acef09a872042b28d2071f0000464db21b0"
 	if got := hexKey(RequestKey(Request{Source: fig1, N: 77}, opt)); got != want {
 		t.Errorf("exact N from the request: RequestKey = %s, want %s", got, want)
 	}
@@ -194,16 +193,13 @@ func TestSaltsMatchTheirFormats(t *testing.T) {
 		on := func(i int) bool { return bits&(1<<i) != 0 }
 		var o Options
 		o.Baseline = core.ListPriority(bits % 3)
-		o.Sync = core.SyncOptions{NoPairArcs: on(0), NoLazyWaits: on(1), NoSPPriority: on(2), AscendingSP: on(3)}
-		o.Best = on(4)
 		o.Compile.Backend = []string{"", "sync", "list", "exact"}[bits%4]
 		o.Compile.Unroll = bits % 5
 		o.Compile.Migrate, o.Compile.NoIfConvert, o.Compile.FlowOnly = on(5), on(6), on(7)
 		o.Compile.Dump = [][]string{nil, {"parse"}, {"parse", "graph"}}[bits%3]
 		o.Compile.Exact.N = []int{0, 50}[bits%2]
 		o.Window = bits % 7
-		want := fmt.Sprintf("base=%d sync=%v/%v/%v/%v best=%v backend=%s", int(o.Baseline),
-			o.Sync.NoPairArcs, o.Sync.NoLazyWaits, o.Sync.NoSPPriority, o.Sync.AscendingSP, o.Best,
+		want := fmt.Sprintf("base=%d sync=false/false/false/false best=false backend=%s", int(o.Baseline),
 			o.backendName())
 		if got := o.salt(); got != want {
 			t.Fatalf("salt = %q, want %q", got, want)

@@ -20,7 +20,7 @@ import (
 // syncinsert, codegen, graph, plus the optional unroll/migrate), so the
 // registry holds per-pass latency buckets next to these two.
 const (
-	// StageSchedule covers building the list/sync/best schedules.
+	// StageSchedule covers building the list and backend schedules.
 	StageSchedule = "schedule"
 	// StageVerify covers the independent post-schedule verification of the
 	// schedules about to be served (internal/check re-derives the dependence

@@ -1,5 +1,5 @@
 // Package pipeline is the batch scheduling service over many DOACROSS
-// loops: it fans compile → schedule (list/sync/best) → simulate out across a
+// loops: it fans compile → schedule (list + backend) → simulate out across a
 // worker pool, deduplicates repeated scheduling problems through a sharded
 // content-addressed schedule cache (key = DFG fingerprint + machine
 // configuration + scheduler options, built in internal/dfg), and records
@@ -20,12 +20,14 @@
 //   - Panic isolation: a panic in any stage (or compilation pass) is
 //     recovered into a structured diagnostic carrying the stage, the request
 //     name and a stack digest; one poisoned loop never kills the batch.
-//   - Graceful degradation: when the synchronization-aware scheduler fails —
-//     an error, a panic, or a schedule rejected by Validate — the request is
-//     served by the program-order list schedule, which the paper guarantees
-//     is always a correct (if slower) answer. The fallback is verified with
-//     Validate before it is returned and the result is flagged Degraded with
-//     the reason.
+//   - Graceful degradation: when any stage fails on a machine — the
+//     scheduler (an error, a panic, or a schedule rejected by Validate), the
+//     verifier or the simulator — that machine's result is served by the
+//     program-order list schedule in every slot, which the paper guarantees
+//     is always a correct (if slower) answer. The fallback passes Validate
+//     and internal/check and is timed before it is returned, the result is
+//     flagged Degraded with the reason, and it is never cached. Only a
+//     failure of the fallback itself fails the request.
 //   - Independent verification: every freshly built schedule — organic or
 //     fallback — passes through internal/check before it is served or
 //     published to the cache. The checker re-derives the dependence edges
@@ -33,7 +35,7 @@
 //     conditions, resource feasibility and deadlock freedom without sharing
 //     code with the schedulers; cache hits therefore only ever serve
 //     schedules that already passed. A rejected schedule degrades onto the
-//     fallback exactly like a scheduler panic; fresh compilations
+//     fallback like any other stage failure; fresh compilations
 //     additionally run the synchronization linter (LoopResult.Lint).
 //   - Fault injection: Options.FaultHook (see internal/faults) is probed at
 //     every stage boundary so chaos tests can drive each failure path
@@ -108,10 +110,6 @@ type Options struct {
 	Window int
 	// Baseline selects the list-scheduling priority.
 	Baseline core.ListPriority
-	// Sync holds the ablation knobs of the synchronization-aware scheduler.
-	Sync core.SyncOptions
-	// Best additionally builds the never-degrades Best schedule.
-	Best bool
 	// Compile configures the compilation pass pipeline (optional unroll/
 	// migrate passes, if-conversion, flow-only synchronization, artifact
 	// dumps). Tracer is overridden: per-pass latencies always land in the
@@ -198,19 +196,16 @@ func (o Options) machines() []dlx.Config {
 }
 
 // salt renders the scheduling-relevant options into the cache-key salt,
-// "base=%d sync=%v/%v/%v/%v best=%v backend=%s". The backend name is part of
-// it: the same DFG on the same machine schedules differently under
-// different backends, and cached entries must never cross.
+// "base=%d sync=false/false/false/false best=false backend=%s". The backend
+// name is part of it: the same DFG on the same machine schedules differently
+// under different backends, and cached entries must never cross. The fixed
+// middle is where two retired options rendered their defaults; it stays so
+// every persisted entry and client-visible key remains valid.
 func (o Options) salt() string {
 	b := make([]byte, 0, 80)
 	b = strconv.AppendInt(append(b, "base="...), int64(o.Baseline), 10)
-	b = strconv.AppendBool(append(b, " sync="...), o.Sync.NoPairArcs)
-	b = strconv.AppendBool(append(b, '/'), o.Sync.NoLazyWaits)
-	b = strconv.AppendBool(append(b, '/'), o.Sync.NoSPPriority)
-	b = strconv.AppendBool(append(b, '/'), o.Sync.AscendingSP)
-	b = strconv.AppendBool(append(b, " best="...), o.Best)
-	b = append(append(b, " backend="...), o.backendName()...)
-	return string(b)
+	b = append(b, " sync=false/false/false/false best=false backend="...)
+	return string(append(b, o.backendName()...))
 }
 
 // backendName normalizes Compile.Backend ("" is the historical "sync").
@@ -226,11 +221,11 @@ func (o Options) backendName() string {
 // depends on the trip count, so unless Compile.Exact.N pins one it is
 // evaluated at the trip count the result will be simulated (and audited) at.
 func (o Options) backendScheduler(n int) (core.Scheduler, error) {
-	bc := passes.BackendConfig{Sync: o.Sync, Exact: o.Compile.Exact}
-	if bc.Exact.N == 0 {
-		bc.Exact.N = n
+	ex := o.Compile.Exact
+	if ex.N == 0 {
+		ex.N = n
 	}
-	return passes.Backend(o.Compile.Backend, bc)
+	return passes.Backend(o.Compile.Backend, ex)
 }
 
 // compileSalt renders the compile-relevant options into the compile-memo
@@ -266,12 +261,11 @@ type MachineResult struct {
 	Machine string
 	// Key is the schedule-cache key of this scheduling problem.
 	Key dfg.Fingerprint
-	// List and Sync are the baseline and synchronization-aware schedules;
-	// Best is the never-degrades pick (nil unless Options.Best).
-	List, Sync, Best *core.Schedule
-	// ListTime, SyncTime and BestTime are simulated parallel execution
-	// times for the loop's trip count.
-	ListTime, SyncTime, BestTime int
+	// List and Sync are the baseline and synchronization-aware schedules.
+	List, Sync *core.Schedule
+	// ListTime and SyncTime are simulated parallel execution times for the
+	// loop's trip count.
+	ListTime, SyncTime int
 	// ListStalls and SyncStalls are the simulators' stall-cycle counts.
 	ListStalls, SyncStalls int
 	// ListLBD and SyncLBD count synchronization pairs left lexically
@@ -310,10 +304,10 @@ type MachineResult struct {
 	// the traced simulations (nil unless Options.Utilization, and nil on
 	// cache hits recorded by untraced runs).
 	ListUtil, SyncUtil *sim.Utilization
-	// Degraded reports that the synchronization-aware schedule (and Best)
-	// was replaced by the verified program-order list fallback after a
-	// scheduler or simulator failure; Sync then holds the fallback, which
-	// passed Schedule.Validate before being returned.
+	// Degraded reports that a scheduler, verifier or simulator failure
+	// replaced both schedules by the verified program-order list fallback;
+	// List and Sync then hold the one fallback, which passed
+	// Schedule.Validate and internal/check before being returned.
 	Degraded bool
 	// DegradedReason is the failure that triggered the fallback ("" unless
 	// Degraded).
@@ -409,13 +403,32 @@ type compileEntry struct {
 	lint  diag.List
 }
 
-// newCompileEntry packages a finished compilation with its lint findings.
-func newCompileEntry(pctx *passes.Context, lint diag.List) *compileEntry {
+// compile runs the pass manager configured by popts over loop (or, when loop
+// is nil, over src) and packages the compilation with its synchronization
+// lint. Under Compile.Verify the verify pass already ran the linter (and
+// failed on errors); otherwise the findings are advisory. On failure the
+// entry carries only the trace and the diagnostics.
+func compile(ctx context.Context, popts passes.Options, loop *lang.Loop, src string) (*compileEntry, error) {
+	pl := passes.New(popts)
+	var pctx *passes.Context
+	var err error
+	if loop != nil {
+		pctx, err = pl.RunLoopCtx(ctx, loop)
+	} else {
+		pctx, err = pl.RunSourceCtx(ctx, src)
+	}
+	if err != nil {
+		return &compileEntry{trace: pctx.Trace, diags: pctx.Diags}, err
+	}
+	lint := pctx.LintFindings
+	if !popts.Verify {
+		lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
+	}
 	return &compileEntry{
 		loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
 		prog: pctx.Code, graph: pctx.Graph, fp: pctx.Graph.Fingerprint(),
 		trace: pctx.Trace, diags: pctx.Diags, lint: lint,
-	}
+	}, nil
 }
 
 // sourceKey addresses the compile memo: a hash of the loop's source text and
@@ -430,9 +443,9 @@ func sourceKey(src, salt string) dfg.Fingerprint {
 // entries with optimal=false under the exact backend are never published
 // (see the verify stage), so every cached exact entry carries a proof.
 type schedEntry struct {
-	list, sync, best *core.Schedule
-	backend          string
-	predictedT       int
+	list, sync *core.Schedule
+	backend    string
+	predictedT int
 	// predictedAtN is the trip count predictedT was computed for when the
 	// prediction is the closed-form model of a heuristic schedule (exact
 	// entries carry a backend objective and are cached per trip count).
@@ -469,13 +482,19 @@ func (e *schedEntry) cacheable() bool {
 	return e.backend != "exact" || e.optimal
 }
 
+// simTimes are a schedule pair's simulated counters at one trip count and
+// window, in the cache and on disk (diskPayload.Times) alike.
+type simTimes struct {
+	ListTime, SyncTime       int
+	ListStalls, SyncStalls   int
+	ListLBD, SyncLBD         int
+	ListLFD, SyncLFD         int
+	ListSignals, SyncSignals int
+}
+
 // timeEntry is the cached product of StageSimulate for one ConfigKey+n.
 type timeEntry struct {
-	listTime, syncTime, bestTime int
-	listStalls, syncStalls       int
-	listLBD, syncLBD             int
-	listLFD, syncLFD             int
-	listSignals, syncSignals     int
+	simTimes
 	// Machine-level utilization reports, recorded only when the batch ran
 	// with Options.Utilization (nil otherwise; a cache hit serves whatever
 	// the recording run kept).
@@ -651,19 +670,68 @@ func safeStage(stage, name string, metrics *Metrics, f func() error) (err error)
 	return f()
 }
 
-// fallbackSchedule builds and verifies the degraded answer: the
+// fallbackSchedule builds, verifies and times the degraded answer: the
 // program-order list schedule, which the paper guarantees is always correct
-// (the Best schedule's never-worse baseline). It is validated before use so
-// the service never returns an unverified schedule.
-func fallbackSchedule(g *dfg.Graph, cfg dlx.Config) (*core.Schedule, error) {
+// (if slower), served in both slots. It passes Validate and the request's
+// independent verifier before use, so the service never returns an
+// unverified schedule.
+func fallbackSchedule(g *dfg.Graph, cfg dlx.Config, backend string, ver *check.Verifier, sm simulator) (*schedEntry, *timeEntry, error) {
 	fb, err := core.List(g, cfg, core.ProgramOrder)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := fb.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("fallback schedule failed validation: %w", err)
+	}
+	if err := check.Err(ver.Verify(fb)); err != nil {
+		return nil, nil, err
+	}
+	times, err := sm.time(fb, fb)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &schedEntry{list: fb, sync: fb, backend: backend, predictedT: model.Predict(fb, sm.opt.Hi)}, times, nil
+}
+
+// simulator times one request's schedules at its trip count and window.
+type simulator struct {
+	opt  sim.Options
+	util bool   // trace the runs (Options.Utilization)
+	loop string // the request name utilization reports carry
+}
+
+// time simulates a schedule pair (the fallback pair, one schedule twice, is
+// simulated once). Traced runs verify the tracer's attribution books against
+// the timing counters; untraced ones are plain sim.Time.
+func (sm simulator) time(list, sync *core.Schedule) (*timeEntry, error) {
+	lt, lu, err := sm.timeOne(list)
 	if err != nil {
 		return nil, err
 	}
-	if err := fb.Validate(); err != nil {
-		return nil, fmt.Errorf("fallback schedule failed validation: %w", err)
+	st, su := lt, lu
+	if sync != list {
+		if st, su, err = sm.timeOne(sync); err != nil {
+			return nil, err
+		}
 	}
-	return fb, nil
+	te := &timeEntry{listUtil: lu, syncUtil: su}
+	te.ListTime, te.ListStalls, te.ListSignals = lt.Total, lt.StallCycles, lt.SignalsSent
+	te.SyncTime, te.SyncStalls, te.SyncSignals = st.Total, st.StallCycles, st.SignalsSent
+	te.ListLBD, te.ListLFD = arcSplit(list)
+	te.SyncLBD, te.SyncLFD = arcSplit(sync)
+	return te, nil
+}
+
+func (sm simulator) timeOne(s *core.Schedule) (sim.Timing, *sim.Utilization, error) {
+	if !sm.util {
+		tm, err := sim.Time(s, sm.opt)
+		return tm, nil, err
+	}
+	tm, u, err := sim.Utilize(s, sm.opt)
+	if err == nil {
+		u.Loop = sm.loop
+	}
+	return tm, u, err
 }
 
 // validate rejects malformed requests before they reach the parser or the
@@ -811,16 +879,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		popts.Request = res.Name
 		popts.Observer = opt.Observer
 		popts.ParentSpan = cspan
-		pl := passes.New(popts)
-		var pctx *passes.Context
-		if req.Loop != nil {
-			pctx, res.Err = pl.RunLoopCtx(ctx, req.Loop)
-		} else {
-			pctx, res.Err = pl.RunSourceCtx(ctx, req.Source)
-		}
-		res.Trace = pctx.Trace
-		res.Diags = pctx.Diags
+		compiled, res.Err = compile(ctx, popts, req.Loop, req.Source)
 		if res.Err != nil {
+			res.Trace, res.Diags = compiled.trace, compiled.diags
 			// A deadline/cancellation that fired inside the pass manager is
 			// a timeout like any other: count it and wrap it consistently.
 			if cerr := ctx.Err(); cerr != nil && errors.Is(res.Err, cerr) {
@@ -829,17 +890,9 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 			endCompile(res.Err)
 			return res
 		}
-		// Lint the synchronization placement of every fresh compilation.
-		// Under Compile.Verify the verify pass already ran the linter (and
-		// failed on errors); otherwise the findings are advisory.
-		lint := pctx.LintFindings
-		if !opt.Compile.Verify {
-			lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
-		}
-		metrics.LintFindings(int64(len(lint)))
-		de, di, dc := pctx.Analysis.Counts()
+		metrics.LintFindings(int64(len(compiled.lint)))
+		de, di, dc := compiled.analysis.Counts()
 		metrics.ObserveDeps(int64(de), int64(di), int64(dc))
-		compiled = newCompileEntry(pctx, lint)
 		if opt.Cache != nil {
 			v, _ := opt.Cache.Put(srcKey, compiled)
 			compiled = v.(*compileEntry)
@@ -857,14 +910,20 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 	res.Lint = compiled.lint
 
 	fp := compiled.fp
-	salt := keys.sched
 	exSalt := keys.exactSalt(res.N)
 	nwSalt := keys.nwSalt(res.N)
+	sm := simulator{opt: sim.Options{Lo: 1, Hi: res.N, Window: opt.Window}, util: opt.Utilization, loop: res.Name}
 	// ver verifies every schedule this request builds for the loop, on
 	// every machine, against one derivation of the program's edges. It is
-	// made at the first fresh schedule (a cache hit never verifies) and
-	// dies with the request: it is never cached with the compilation.
+	// made at the first schedule that needs it (a cache hit never verifies)
+	// and dies with the request: it is never cached with the compilation.
 	var ver *check.Verifier
+	verifier := func() *check.Verifier {
+		if ver == nil {
+			ver = check.NewVerifier(compiled.prog)
+		}
+		return ver
+	}
 	res.Machines = make([]MachineResult, len(machines))
 	for k, cfg := range machines {
 		if ctx.Err() != nil {
@@ -873,21 +932,13 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		}
 		mr := &res.Machines[k]
 		mr.Machine = cfg.Name
-		if exSalt != "" {
-			mr.Key = dfg.KeyFrom(fp, cfg, "sched", salt, exSalt)
-		} else {
-			mr.Key = dfg.KeyFrom(fp, cfg, "sched", salt)
-		}
+		mr.Key = keys.schedKey(fp, cfg, exSalt)
+		// fail is the first stage failure on this machine: it skips the
+		// remaining stages and degrades the result onto the fallback.
+		var fail error
 
 		// Schedule, through the cache when one is attached.
 		sspan := opt.Observer.Start(obs.KindStage, StageSchedule, rspan)
-		endSched := func(err error) {
-			if opt.Observer == nil {
-				return
-			}
-			opt.Observer.End(&sspan, err, obs.S("machine", cfg.Name),
-				obs.B("cache_hit", mr.CacheHit), obs.B("degraded", mr.Degraded))
-		}
 		var entry *schedEntry
 		if useCache {
 			var v any
@@ -899,12 +950,12 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 			}
 		}
 		fresh := entry == nil
-		if entry == nil {
+		if fresh {
 			if useCache {
 				metrics.CacheMiss()
 			}
 			e := &schedEntry{backend: opt.backendName()}
-			err := metrics.timed(StageSchedule, func() error {
+			fail = metrics.timed(StageSchedule, func() error {
 				return safeStage(StageSchedule, res.Name, metrics, func() error {
 					if err := probe(StageSchedule); err != nil {
 						return err
@@ -932,14 +983,12 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 							return err
 						}
 						e.sync = s.Clone()
-						e.backend = sched.Name()
 					} else {
 						out, err := sched.Schedule(res.Graph, cfg)
 						if err != nil {
 							return err
 						}
 						e.sync = out.Schedule
-						e.backend = sched.Name()
 						e.predictedT = out.T
 						e.optimal = out.Optimal
 						e.lowerBound = out.LowerBound
@@ -958,122 +1007,51 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 					if err := e.sync.Validate(); err != nil {
 						return fmt.Errorf("%s schedule failed validation: %w", e.backend, err)
 					}
-					if opt.Best {
-						b, err := sc.Best(res.Graph, cfg)
-						if err != nil {
-							return err
-						}
-						e.best = b.Clone()
-					}
 					return nil
 				})
 			})
-			if err != nil {
-				// Graceful degradation: serve the verified program-order
-				// baseline instead of failing the request. The paper
-				// guarantees it is a correct schedule whenever one exists.
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: schedule %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, err, ferr)
-					endSched(res.Err)
-					return res
-				}
-				e = &schedEntry{list: e.list, sync: fb, backend: e.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if e.list == nil || e.list.Validate() != nil {
-					e.list = fb
-				}
-				if opt.Best {
-					e.best = fb
-				}
-				mr.Degraded = true
-				mr.DegradedReason = err.Error()
-				metrics.Fallback()
-				entry = e
-			} else {
-				entry = e
-			}
+			entry = e
 		}
-		mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-		entry.fillOutcome(mr, res.N)
-		endSched(nil)
+		if opt.Observer != nil {
+			opt.Observer.End(&sspan, nil, obs.S("machine", cfg.Name),
+				obs.B("cache_hit", mr.CacheHit), obs.B("degraded", fail != nil))
+		}
 
-		// Independent verification of every freshly built schedule —
-		// organic or fallback — before it is served or published:
-		// internal/check re-derives the dependence edges from the compiled
-		// code (sharing no code with the schedulers) and re-checks the
-		// synchronization conditions, resource feasibility and deadlock
-		// freedom. A rejected schedule degrades onto the program-order
-		// fallback exactly like a scheduler panic does; a rejected fallback
-		// fails the request. Only verified, non-degraded entries reach the
+		// Independent verification of every freshly built schedule before
+		// it is served or published: internal/check re-derives the
+		// dependence edges from the compiled code (sharing no code with the
+		// schedulers) and re-checks the synchronization conditions, resource
+		// feasibility and deadlock freedom. A rejected schedule degrades
+		// like any other stage failure. Only verified entries reach the
 		// cache, so cache hits serve schedules that already passed and skip
 		// the stage.
-		if fresh {
-			if ver == nil {
-				ver = check.NewVerifier(compiled.prog)
-			}
+		if fresh && fail == nil {
+			vr := verifier()
 			vspan := opt.Observer.Start(obs.KindStage, StageVerify, rspan)
-			endVerify := func(err error) {
-				if opt.Observer == nil {
-					return
-				}
-				opt.Observer.End(&vspan, err, obs.S("machine", cfg.Name),
-					obs.B("degraded", mr.Degraded))
-			}
-			verr := metrics.timed(StageVerify, func() error {
+			fail = metrics.timed(StageVerify, func() error {
 				return safeStage(StageVerify, res.Name, metrics, func() error {
 					if err := probe(StageVerify); err != nil {
 						return err
 					}
-					for _, s := range []*core.Schedule{entry.list, entry.sync, entry.best} {
-						if s == nil {
-							continue
-						}
-						if err := check.Err(ver.Verify(s)); err != nil {
-							return err
-						}
+					if err := check.Err(vr.Verify(entry.list)); err != nil {
+						return err
 					}
-					return nil
+					return check.Err(vr.Verify(entry.sync))
 				})
 			})
-			if verr != nil {
+			if fail != nil {
 				metrics.Rejected()
-				if mr.Degraded {
-					// Even the fallback was rejected; nothing verified is
-					// left to serve.
-					res.Err = fmt.Errorf("pipeline: verify %s on %s: %w", res.Name, cfg.Name, verr)
-					endVerify(res.Err)
-					return res
-				}
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr == nil {
-					ferr = check.Err(ver.Verify(fb))
-				}
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: verify %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, verr, ferr)
-					endVerify(res.Err)
-					return res
-				}
-				entry = &schedEntry{list: fb, sync: fb, backend: entry.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if opt.Best {
-					entry.best = fb
-				}
-				mr.Degraded = true
-				mr.DegradedReason = verr.Error()
-				metrics.Fallback()
 			} else {
 				metrics.Verified()
-				if useCache && !mr.Degraded && entry.cacheable() {
+				if useCache && entry.cacheable() {
 					v, _ := opt.Cache.Put(mr.Key, entry)
 					entry = v.(*schedEntry)
 				}
 			}
-			mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-			entry.fillOutcome(mr, res.N)
-			endVerify(nil)
+			if opt.Observer != nil {
+				opt.Observer.End(&vspan, nil, obs.S("machine", cfg.Name),
+					obs.B("degraded", fail != nil))
+			}
 		}
 		unclaim()
 
@@ -1083,138 +1061,69 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		}
 
 		// Simulate; timings additionally key on trip count and window.
-		// Degraded schedules never touch the time cache.
-		simOpt := sim.Options{Lo: 1, Hi: res.N, Window: opt.Window}
 		mspan := opt.Observer.Start(obs.KindStage, StageSimulate, rspan)
 		var times *timeEntry
 		timeCached := false
-		timeKey := dfg.KeyFrom(fp, cfg, "time", salt, nwSalt, exSalt)
-		// Timings of schedules that may not be cached (non-optimal exact
-		// results, which depend on the search budget) stay out of the time
-		// cache too — the budget is not part of the key.
-		if useCache && !mr.Degraded && entry.cacheable() {
-			var v any
-			var ok bool
-			if v, ok, release = opt.Cache.claim(ctx, timeKey); ok {
-				times = v.(*timeEntry)
-				timeCached = true
-				metrics.CacheHit()
-			} else {
-				metrics.CacheMiss()
+		if fail == nil {
+			timeKey := keys.timeKey(fp, cfg, nwSalt, exSalt)
+			// Timings of schedules that may not be cached (non-optimal exact
+			// results, which depend on the search budget) stay out of the
+			// time cache too — the budget is not part of the key.
+			if useCache && entry.cacheable() {
+				var v any
+				var ok bool
+				if v, ok, release = opt.Cache.claim(ctx, timeKey); ok {
+					times = v.(*timeEntry)
+					timeCached = true
+					metrics.CacheHit()
+				} else {
+					metrics.CacheMiss()
+				}
 			}
-		}
-		if times == nil {
-			te := &timeEntry{}
-			err := metrics.timed(StageSimulate, func() error {
-				return safeStage(StageSimulate, res.Name, metrics, func() error {
-					if err := probe(StageSimulate); err != nil {
-						return err
-					}
-					// With Options.Utilization the run is traced and the
-					// attribution books are verified against the timing
-					// counters; otherwise this is plain sim.Time.
-					timeOne := func(s *core.Schedule) (sim.Timing, *sim.Utilization, error) {
-						if !opt.Utilization {
-							tm, err := sim.Time(s, simOpt)
-							return tm, nil, err
-						}
-						tm, u, err := sim.Utilize(s, simOpt)
-						if err == nil {
-							u.Loop = res.Name
-						}
-						return tm, u, err
-					}
-					lt, lu, err := timeOne(entry.list)
-					if err != nil {
-						return err
-					}
-					st, su, err := timeOne(entry.sync)
-					if err != nil {
-						return err
-					}
-					te.listUtil, te.syncUtil = lu, su
-					te.listTime, te.listStalls = lt.Total, lt.StallCycles
-					te.syncTime, te.syncStalls = st.Total, st.StallCycles
-					te.listSignals, te.syncSignals = lt.SignalsSent, st.SignalsSent
-					te.listLBD, te.listLFD = arcSplit(entry.list)
-					te.syncLBD, te.syncLFD = arcSplit(entry.sync)
-					if entry.best != nil {
-						bt, err := sim.Time(entry.best, simOpt)
-						if err != nil {
+			if times == nil {
+				fail = metrics.timed(StageSimulate, func() error {
+					return safeStage(StageSimulate, res.Name, metrics, func() error {
+						if err := probe(StageSimulate); err != nil {
 							return err
 						}
-						te.bestTime = bt.Total
-					}
-					return nil
+						var err error
+						times, err = sm.time(entry.list, entry.sync)
+						return err
+					})
 				})
-			})
-			if err != nil {
-				if mr.Degraded {
-					// Even the fallback failed to simulate; nothing correct
-					// left to serve.
-					res.Err = fmt.Errorf("pipeline: simulate %s on %s: %w", res.Name, cfg.Name, err)
-					endSim(mspan, res.Err, mr, nil, timeCached, opt.Observer)
-					return res
-				}
-				// Degrade at the simulation stage: time the verified
-				// program-order fallback instead. It too must pass the
-				// independent verifier before being served.
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr == nil {
-					if ver == nil {
-						ver = check.NewVerifier(compiled.prog)
-					}
-					ferr = check.Err(ver.Verify(fb))
-				}
-				var ft sim.Timing
-				if ferr == nil {
-					ft, ferr = sim.Time(fb, simOpt)
-				}
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: simulate %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, err, ferr)
-					endSim(mspan, res.Err, mr, nil, timeCached, opt.Observer)
-					return res
-				}
-				entry = &schedEntry{list: fb, sync: fb, backend: entry.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if opt.Best {
-					entry.best = fb
-				}
-				mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-				entry.fillOutcome(mr, res.N)
-				mr.Degraded = true
-				mr.CacheHit = false // the cached schedules were replaced by the fallback
-				mr.DegradedReason = err.Error()
-				metrics.Fallback()
-				fbLBD, fbLFD := arcSplit(fb)
-				te = &timeEntry{
-					listTime: ft.Total, syncTime: ft.Total,
-					listStalls: ft.StallCycles, syncStalls: ft.StallCycles,
-					listSignals: ft.SignalsSent, syncSignals: ft.SignalsSent,
-					listLBD: fbLBD, syncLBD: fbLBD,
-					listLFD: fbLFD, syncLFD: fbLFD,
-				}
-				if opt.Best {
-					te.bestTime = ft.Total
-				}
-				times = te
-			} else {
-				times = te
-				if useCache && !mr.Degraded && entry.cacheable() {
+				if fail == nil && useCache && entry.cacheable() {
 					v, _ := opt.Cache.Put(timeKey, times)
 					times = v.(*timeEntry)
 				}
+				unclaim()
 			}
-			unclaim()
 		}
-		mr.ListTime, mr.SyncTime, mr.BestTime = times.listTime, times.syncTime, times.bestTime
+
+		// The one degrade path: whichever stage failed, the verified and
+		// timed program-order fallback serves every slot. Degraded results
+		// never touch the caches; a fallback that fails too fails the
+		// request, as nothing verified is left to serve.
+		if fail != nil {
+			var err error
+			entry, times, err = fallbackSchedule(res.Graph, cfg, opt.backendName(), verifier(), sm)
+			if err != nil {
+				res.Err = fmt.Errorf("pipeline: %s on %s: %v (fallback failed: %w)", res.Name, cfg.Name, fail, err)
+				endSim(mspan, res.Err, mr, nil, false, opt.Observer)
+				return res
+			}
+			mr.Degraded, mr.DegradedReason = true, fail.Error()
+			mr.CacheHit = false // any cached schedules were replaced by the fallback
+			metrics.Fallback()
+		}
+		mr.List, mr.Sync = entry.list, entry.sync
+		entry.fillOutcome(mr, res.N)
+		mr.ListTime, mr.SyncTime = times.ListTime, times.SyncTime
 		mr.ListUtil, mr.SyncUtil = times.listUtil, times.syncUtil
-		mr.ListStalls, mr.SyncStalls = times.listStalls, times.syncStalls
-		mr.ListLBD, mr.SyncLBD = times.listLBD, times.syncLBD
-		mr.ListLFD, mr.SyncLFD = times.listLFD, times.syncLFD
-		mr.ListSignals, mr.SyncSignals = times.listSignals, times.syncSignals
-		mr.Improvement = model.Speedup(times.listTime, times.syncTime)
+		mr.ListStalls, mr.SyncStalls = times.ListStalls, times.SyncStalls
+		mr.ListLBD, mr.SyncLBD = times.ListLBD, times.SyncLBD
+		mr.ListLFD, mr.SyncLFD = times.ListLFD, times.SyncLFD
+		mr.ListSignals, mr.SyncSignals = times.ListSignals, times.SyncSignals
+		mr.Improvement = model.Speedup(times.ListTime, times.SyncTime)
 		// Independent timing audit: the simulated total must cover at least
 		// one full iteration and at least the closed-form lower bound
 		// T = (n/d)(i-j) + l of the served schedule. A violation means the
@@ -1234,8 +1143,8 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		}
 		// Paper-level counters describe the schedule actually served (the
 		// synchronization-aware one, or the fallback standing in for it).
-		metrics.ObserveSim(int64(times.syncSignals), int64(times.syncStalls),
-			int64(times.syncLBD), int64(times.syncLFD))
+		metrics.ObserveSim(int64(times.SyncSignals), int64(times.SyncStalls),
+			int64(times.SyncLBD), int64(times.SyncLFD))
 		metrics.ObserveUtil(times.syncUtil)
 		endSim(mspan, nil, mr, times, timeCached, opt.Observer)
 	}
@@ -1266,12 +1175,12 @@ func endSim(sp obs.Span, err error, mr *MachineResult, times *timeEntry, cached 
 	}
 	n := 3
 	if times != nil {
-		attrs[3] = obs.I("signals_sent", int64(times.syncSignals))
-		attrs[4] = obs.I("wait_stall_cycles", int64(times.syncStalls))
-		attrs[5] = obs.I("lbd_arcs", int64(times.syncLBD))
-		attrs[6] = obs.I("lfd_arcs", int64(times.syncLFD))
-		attrs[7] = obs.I("sync_cycles", int64(times.syncTime))
-		attrs[8] = obs.I("list_cycles", int64(times.listTime))
+		attrs[3] = obs.I("signals_sent", int64(times.SyncSignals))
+		attrs[4] = obs.I("wait_stall_cycles", int64(times.SyncStalls))
+		attrs[5] = obs.I("lbd_arcs", int64(times.SyncLBD))
+		attrs[6] = obs.I("lfd_arcs", int64(times.SyncLFD))
+		attrs[7] = obs.I("sync_cycles", int64(times.SyncTime))
+		attrs[8] = obs.I("list_cycles", int64(times.ListTime))
 		n = 9
 	}
 	rec.End(&sp, err, attrs[:n]...)

@@ -67,9 +67,6 @@ func TestRunBasics(t *testing.T) {
 	if mr.List == nil || mr.Sync == nil {
 		t.Fatal("missing schedules")
 	}
-	if mr.Best != nil {
-		t.Error("Best built without Options.Best")
-	}
 	if err := mr.List.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -90,21 +87,33 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
+// TestRunBest: the "best" backend serves the never-degrades pick in the
+// Sync slot, through the pipeline's verifier, never slower than the list
+// baseline or the paper's heuristic.
 func TestRunBest(t *testing.T) {
-	b := run(t, corpus(8), Options{Best: true, Machines: dlx.PaperConfigs()})
-	if err := b.FirstErr(); err != nil {
-		t.Fatal(err)
+	srcs := corpus(8)
+	opt := Options{Machines: dlx.PaperConfigs()}
+	sync := run(t, srcs, opt)
+	opt.Compile.Backend = "best"
+	best := run(t, srcs, opt)
+	for _, b := range []*Batch{sync, best} {
+		if err := b.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, lr := range b.Loops {
-		for _, mr := range lr.Machines {
-			if mr.Best == nil {
-				t.Fatal("missing Best schedule")
+	for i, lr := range best.Loops {
+		for k, mr := range lr.Machines {
+			if mr.Backend != "best" || mr.Degraded {
+				t.Fatalf("%s %s: backend %q, degraded %v", lr.Name, mr.Machine, mr.Backend, mr.Degraded)
 			}
-			if mr.BestTime > mr.ListTime || mr.BestTime > mr.SyncTime {
+			if st := sync.Loops[i].Machines[k].SyncTime; mr.SyncTime > mr.ListTime || mr.SyncTime > st {
 				t.Errorf("%s %s: best %d worse than list %d or sync %d",
-					lr.Name, mr.Machine, mr.BestTime, mr.ListTime, mr.SyncTime)
+					lr.Name, mr.Machine, mr.SyncTime, mr.ListTime, st)
 			}
 		}
+	}
+	if sets := int64(len(srcs) * len(opt.Machines)); best.Stats.Verified != sets {
+		t.Errorf("verified %d best schedule sets, want %d", best.Stats.Verified, sets)
 	}
 }
 
@@ -115,9 +124,9 @@ func numeric(b *Batch) string {
 	for _, lr := range b.Loops {
 		fmt.Fprintf(&sb, "%d %s err=%v n=%d", lr.Index, lr.Name, lr.Err, lr.N)
 		for _, mr := range lr.Machines {
-			fmt.Fprintf(&sb, " [%s key=%s list=%d/%d/%d sync=%d/%d/%d best=%d imp=%.4f]",
+			fmt.Fprintf(&sb, " [%s key=%s list=%d/%d/%d sync=%d/%d/%d imp=%.4f]",
 				mr.Machine, mr.Key, mr.ListTime, mr.ListStalls, mr.ListLBD,
-				mr.SyncTime, mr.SyncStalls, mr.SyncLBD, mr.BestTime, mr.Improvement)
+				mr.SyncTime, mr.SyncStalls, mr.SyncLBD, mr.Improvement)
 		}
 		sb.WriteByte('\n')
 	}
@@ -132,7 +141,7 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		var want string
 		for _, workers := range []int{1, 8} {
-			opt := Options{Workers: workers, Machines: dlx.PaperConfigs(), Best: true}
+			opt := Options{Workers: workers, Machines: dlx.PaperConfigs()}
 			if cached {
 				opt.Cache = NewCache()
 			}

@@ -8,6 +8,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"regexp"
 	"strconv"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"doacross/internal/check"
+	"doacross/internal/core"
 	"doacross/internal/diag"
 	"doacross/internal/faults"
 	"doacross/internal/passes"
@@ -222,73 +225,66 @@ func TestPanicIsolationScheduleStage(t *testing.T) {
 	}
 }
 
-// TestScheduleFallback: scheduler errors degrade every affected request onto
-// the program-order baseline, verified and simulated.
+// TestScheduleFallback: a failure at the schedule, verify or simulate stage
+// degrades every affected result through the one fallback path, under
+// either baseline priority: both slots hold the one program-order fallback,
+// which passes the independent verifier and is timed; each result counts
+// one fallback; and nothing degraded is cached, so a second batch over the
+// same cache reruns the failed stage.
 func TestScheduleFallback(t *testing.T) {
-	hook := func(stage, name string) error {
-		if stage == StageSchedule {
-			return errors.New("synthetic scheduler failure")
+	srcs := corpus(6)
+	for _, stage := range []string{StageSchedule, StageVerify, StageSimulate} {
+		for _, base := range []core.ListPriority{core.ProgramOrder, core.CriticalPath} {
+			t.Run(fmt.Sprintf("%s/base=%d", stage, base), func(t *testing.T) {
+				cache := NewCache()
+				hook := func(s, name string) error {
+					if s == stage {
+						return errors.New("synthetic " + stage + " failure")
+					}
+					return nil
+				}
+				b, err := Run(reqsFor(srcs), Options{Baseline: base, Cache: cache, FaultHook: hook})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lr := range b.Loops {
+					if lr.Err != nil {
+						t.Fatalf("%s: %v", lr.Name, lr.Err)
+					}
+					mr := lr.Machines[0]
+					if !mr.Degraded || !strings.Contains(mr.DegradedReason, "synthetic "+stage+" failure") {
+						t.Fatalf("%s not degraded with reason: %+q", lr.Name, mr.DegradedReason)
+					}
+					if mr.List != mr.Sync || mr.CacheHit {
+						t.Errorf("%s: degraded result not served by the single fallback", lr.Name)
+					}
+					if l := check.Verify(mr.Sync); check.Err(l) != nil {
+						t.Errorf("%s: served fallback fails the verifier:\n%s", lr.Name, l)
+					}
+					if mr.ListTime != mr.SyncTime || mr.SyncTime <= 0 {
+						t.Errorf("%s: fallback times = %d/%d", lr.Name, mr.ListTime, mr.SyncTime)
+					}
+				}
+				if b.Stats.Fallbacks != int64(len(b.Loops)) {
+					t.Errorf("fallbacks = %d, want %d", b.Stats.Fallbacks, len(b.Loops))
+				}
+				b2, err := Run(reqsFor(srcs), Options{Baseline: base, Cache: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b2.FirstErr(); err != nil {
+					t.Fatal(err)
+				}
+				for _, lr := range b2.Loops {
+					if lr.Degraded() {
+						t.Errorf("%s: degraded result leaked through the cache", lr.Name)
+					}
+				}
+				if n := b2.Stats.Stage(stage).Count; n != int64(len(srcs)) {
+					t.Errorf("second batch ran %s %d times, want %d (recompute after degradation)", stage, n, len(srcs))
+				}
+			})
 		}
-		return nil
-	}
-	b, err := Run(reqsFor(corpus(6)), Options{Best: true, FaultHook: hook})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lr := range b.Loops {
-		if lr.Err != nil {
-			t.Fatalf("%s: %v", lr.Name, lr.Err)
-		}
-		mr := lr.Machines[0]
-		if !mr.Degraded || !strings.Contains(mr.DegradedReason, "synthetic scheduler failure") {
-			t.Fatalf("%s not degraded with reason: %+q", lr.Name, mr.DegradedReason)
-		}
-		// The whole answer is the one verified fallback schedule.
-		if mr.List != mr.Sync || mr.Best != mr.Sync {
-			t.Errorf("%s: degraded result not served by the single fallback", lr.Name)
-		}
-		if err := mr.Sync.Validate(); err != nil {
-			t.Errorf("%s: fallback invalid: %v", lr.Name, err)
-		}
-		if mr.ListTime != mr.SyncTime || mr.SyncTime <= 0 {
-			t.Errorf("%s: fallback times = %d/%d", lr.Name, mr.ListTime, mr.SyncTime)
-		}
-	}
-	if b.Stats.Fallbacks != int64(len(b.Loops)) {
-		t.Errorf("fallbacks = %d, want %d", b.Stats.Fallbacks, len(b.Loops))
-	}
-}
-
-// TestSimulateFallback: simulator failures likewise degrade onto the timed
-// fallback.
-func TestSimulateFallback(t *testing.T) {
-	hook := func(stage, name string) error {
-		if stage == StageSimulate {
-			return errors.New("synthetic simulator failure")
-		}
-		return nil
-	}
-	b, err := Run(reqsFor(corpus(4)), Options{FaultHook: hook})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lr := range b.Loops {
-		if lr.Err != nil {
-			t.Fatalf("%s: %v", lr.Name, lr.Err)
-		}
-		mr := lr.Machines[0]
-		if !mr.Degraded {
-			t.Fatalf("%s not degraded", lr.Name)
-		}
-		if err := mr.Sync.Validate(); err != nil {
-			t.Errorf("%s: fallback invalid: %v", lr.Name, err)
-		}
-		if mr.ListTime != mr.SyncTime || mr.SyncTime <= 0 {
-			t.Errorf("%s: fallback times = %d/%d", lr.Name, mr.ListTime, mr.SyncTime)
-		}
-	}
-	if b.Stats.Fallbacks != int64(len(b.Loops)) {
-		t.Errorf("fallbacks = %d, want %d", b.Stats.Fallbacks, len(b.Loops))
 	}
 }
 
@@ -395,6 +391,14 @@ func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOu
 			}
 		}
 	}
+	// The first failing stage degrades the request onto the fallback, which
+	// is verified and timed without further probes: the remaining stages are
+	// skipped.
+	degrade := func() chaosOutcome {
+		o.degraded = true
+		o.fallbacks++
+		return o
+	}
 	if k, ok := in.Decide(StageSchedule, name); ok {
 		record(k)
 		switch k {
@@ -402,8 +406,7 @@ func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOu
 			o.panics++
 			fallthrough
 		case faults.Error:
-			o.degraded = true
-			o.fallbacks++
+			return degrade()
 		}
 	}
 	if k, ok := in.Decide(StageVerify, name); ok && (k == faults.Panic || k == faults.Error) {
@@ -412,19 +415,11 @@ func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOu
 			o.panics++
 		}
 		o.rejected++
-		if o.degraded {
-			// Even the fallback was rejected: the request errs.
-			o.err = true
-			return o
-		}
-		o.degraded = true
-		o.fallbacks++
-	} else {
-		if ok {
-			record(k) // a Delay fault fired and the stage went on to pass
-		}
-		o.verified++
+		return degrade()
+	} else if ok {
+		record(k) // a Delay fault fired and the stage went on to pass
 	}
+	o.verified++
 	if k, ok := in.Decide(StageSimulate, name); ok {
 		record(k)
 		switch k {
@@ -432,14 +427,7 @@ func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOu
 			if k == faults.Panic {
 				o.panics++
 			}
-			if o.degraded {
-				// Even the fallback's simulation was poisoned: the request
-				// errs.
-				o.err = true
-			} else {
-				o.degraded = true
-				o.fallbacks++
-			}
+			return degrade()
 		}
 	}
 	return o

@@ -11,7 +11,6 @@ import (
 	"doacross/internal/core"
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
-	"doacross/internal/passes"
 )
 
 // The persistent tier stores one self-contained entry per verified
@@ -36,15 +35,6 @@ type diskSchedule struct {
 	Rows   [][]int `json:"rows"`
 }
 
-// diskTimes is the persisted form of a timeEntry.
-type diskTimes struct {
-	ListTime, SyncTime, BestTime int
-	ListStalls, SyncStalls       int
-	ListLBD, SyncLBD             int
-	ListLFD, SyncLFD             int
-	ListSignals, SyncSignals     int
-}
-
 // diskPayload is the JSON payload of one persistent-tier entry.
 type diskPayload struct {
 	Name        string        `json:"name"`
@@ -58,29 +48,17 @@ type diskPayload struct {
 	Backend     string        `json:"backend"`
 	List        *diskSchedule `json:"list"`
 	Sync        *diskSchedule `json:"sync"`
-	Best        *diskSchedule `json:"best,omitempty"`
 	PredictedT  int           `json:"predicted_t"`
 	PredictedAt int           `json:"predicted_at_n,omitempty"`
 	Optimal     bool          `json:"optimal,omitempty"`
 	LowerBound  int           `json:"lower_bound,omitempty"`
 	SearchNodes int64         `json:"search_nodes,omitempty"`
 	Note        string        `json:"note,omitempty"`
-	Times       diskTimes     `json:"times"`
+	Times       simTimes      `json:"times"`
 }
 
-// diskKey is the content address of a persisted entry: the scheduling
-// problem (graph fingerprint + machine + scheduler salt) plus the
-// simulation coordinates, in a key space disjoint from the "sched"/"time"
-// in-memory keys.
-func diskKey(fp dfg.Fingerprint, cfg dlx.Config, salt, nwSalt, exSalt string) dfg.Fingerprint {
-	return dfg.KeyFrom(fp, cfg, "disk", salt, nwSalt, exSalt)
-}
-
-// toDisk snapshots a schedule for persistence (nil in, nil out).
+// toDisk snapshots a schedule for persistence.
 func toDisk(s *core.Schedule) *diskSchedule {
-	if s == nil {
-		return nil
-	}
 	return &diskSchedule{Method: s.Method, Rows: s.Rows}
 }
 
@@ -138,27 +116,20 @@ func persistResult(d *DiskStore, name, src string, keys *salts, cfg dlx.Config,
 		Backend:     entry.backend,
 		List:        toDisk(entry.list),
 		Sync:        toDisk(entry.sync),
-		Best:        toDisk(entry.best),
 		PredictedT:  entry.predictedT,
 		PredictedAt: entry.predictedAtN,
 		Optimal:     entry.optimal,
 		LowerBound:  entry.lowerBound,
 		SearchNodes: entry.searchNodes,
 		Note:        entry.note,
-		Times: diskTimes{
-			ListTime: times.listTime, SyncTime: times.syncTime, BestTime: times.bestTime,
-			ListStalls: times.listStalls, SyncStalls: times.syncStalls,
-			ListLBD: times.listLBD, SyncLBD: times.syncLBD,
-			ListLFD: times.listLFD, SyncLFD: times.syncLFD,
-			ListSignals: times.listSignals, SyncSignals: times.syncSignals,
-		},
+		Times:       times.simTimes,
 	}
 	payload, err := json.Marshal(p)
 	if err != nil {
 		return
 	}
 	// Put's error is reflected in the store's WriteErrors counter.
-	_ = d.Put(diskKey(fp, cfg, keys.sched, keys.nwSalt(n), exSalt), payload)
+	_ = d.Put(keys.diskKey(fp, cfg, keys.nwSalt(n), exSalt), payload)
 }
 
 // LoadStats summarizes one LoadDisk pass.
@@ -218,7 +189,8 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		return ls, err
 	}
 	salts := newSalts(opt)
-	compileSalt, schedSalt := salts.compile, salts.sched
+	popts := opt.Compile
+	popts.Tracer, popts.FaultHook, popts.Observer, popts.Request = nil, nil, nil, ""
 	// One verifier per compiled program, shared by all of its entries and
 	// dropped when the pass ends (never stored in the compile entry).
 	verifiers := map[*compileEntry]*check.Verifier{}
@@ -251,7 +223,7 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			quarantine()
 			continue
 		}
-		if p.CompileSalt != compileSalt || p.SchedSalt != schedSalt || p.Window != opt.Window {
+		if p.CompileSalt != salts.compile || p.SchedSalt != salts.sched || p.Window != opt.Window {
 			ls.Stale++
 			continue
 		}
@@ -263,17 +235,12 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		// Recompile the source (through the memo: repeated loops compile
 		// once per load). The compilation is the ground truth the persisted
 		// rows are verified against.
-		srcKey := sourceKey(p.Source, compileSalt)
+		srcKey := sourceKey(p.Source, salts.compile)
 		var compiled *compileEntry
 		if v, ok := cache.Get(srcKey); ok {
 			compiled = v.(*compileEntry)
 		} else {
-			popts := opt.Compile
-			popts.Tracer = nil
-			popts.FaultHook = nil
-			popts.Observer = nil
-			popts.Request = ""
-			pctx, err := passes.New(popts).RunSourceCtx(ctx, p.Source)
+			ce, err := compile(ctx, popts, nil, p.Source)
 			if err != nil {
 				if ctx.Err() != nil {
 					return ls, ctx.Err()
@@ -281,31 +248,16 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 				quarantine()
 				continue
 			}
-			lint := pctx.LintFindings
-			if !opt.Compile.Verify {
-				lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
-			}
-			compiled = newCompileEntry(pctx, lint)
-			v, _ := cache.Put(srcKey, compiled)
+			v, _ := cache.Put(srcKey, ce)
 			compiled = v.(*compileEntry)
 		}
 		// Rebuild the schedules over the fresh program and graph.
 		base := &core.Schedule{Prog: compiled.prog, Graph: compiled.graph, Cfg: p.Machine}
-		rebuildAll := func() (list, sync, best *core.Schedule, err error) {
-			if list, err = p.List.rebuild(base); err != nil {
-				return nil, nil, nil, err
-			}
-			if sync, err = p.Sync.rebuild(base); err != nil {
-				return nil, nil, nil, err
-			}
-			if p.Best != nil {
-				if best, err = p.Best.rebuild(base); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-			return list, sync, best, nil
+		list, err := p.List.rebuild(base)
+		var sync *core.Schedule
+		if err == nil {
+			sync, err = p.Sync.rebuild(base)
 		}
-		list, sync, best, err := rebuildAll()
 		if err != nil {
 			quarantine()
 			continue
@@ -317,7 +269,7 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			ver = check.NewVerifier(compiled.prog)
 			verifiers[compiled] = ver
 		}
-		if err := check.Err(ver.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)); err != nil {
+		if err := check.Err(ver.VerifyLoaded(list, sync, p.Times.SyncTime, p.N)); err != nil {
 			quarantine()
 			continue
 		}
@@ -325,12 +277,12 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		// contents must be the key it was filed under.
 		fp := compiled.fp
 		nwSalt := salts.nwSalt(p.N) // p.Window == opt.Window
-		if diskKey(fp, p.Machine, schedSalt, nwSalt, p.ExactSalt) != k {
+		if salts.diskKey(fp, p.Machine, nwSalt, p.ExactSalt) != k {
 			quarantine()
 			continue
 		}
 		entry := &schedEntry{
-			list: list, sync: sync, best: best,
+			list: list, sync: sync,
 			backend:      p.Backend,
 			predictedT:   p.PredictedT,
 			predictedAtN: p.PredictedAt,
@@ -345,20 +297,8 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			quarantine()
 			continue
 		}
-		var schedK dfg.Fingerprint
-		if p.ExactSalt != "" {
-			schedK = dfg.KeyFrom(fp, p.Machine, "sched", schedSalt, p.ExactSalt)
-		} else {
-			schedK = dfg.KeyFrom(fp, p.Machine, "sched", schedSalt)
-		}
-		cache.Put(schedK, entry)
-		cache.Put(dfg.KeyFrom(fp, p.Machine, "time", schedSalt, nwSalt, p.ExactSalt), &timeEntry{
-			listTime: p.Times.ListTime, syncTime: p.Times.SyncTime, bestTime: p.Times.BestTime,
-			listStalls: p.Times.ListStalls, syncStalls: p.Times.SyncStalls,
-			listLBD: p.Times.ListLBD, syncLBD: p.Times.SyncLBD,
-			listLFD: p.Times.ListLFD, syncLFD: p.Times.SyncLFD,
-			listSignals: p.Times.ListSignals, syncSignals: p.Times.SyncSignals,
-		})
+		cache.Put(salts.schedKey(fp, p.Machine, p.ExactSalt), entry)
+		cache.Put(salts.timeKey(fp, p.Machine, nwSalt, p.ExactSalt), &timeEntry{simTimes: p.Times})
 		ls.Loaded++
 	}
 	return ls, nil

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"doacross/internal/core"
 	"doacross/internal/faults"
 )
 
@@ -174,7 +175,7 @@ func TestLoadDiskSkipsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := diskOpt(nil, nil)
-	opt.Sync.NoLazyWaits = true // a different scheduling salt
+	opt.Baseline = core.CriticalPath // a different scheduling salt
 	ls, err := LoadDisk(context.Background(), store2, NewCache(), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 package pipeline
 
 // Differential test of the independent schedule verifier against the
-// pipeline: every schedule the service emits — list, sync and best, across
+// pipeline: every schedule the service emits — list, and sync from the
+// paper's heuristic or the never-degrades "best" backend, across
 // machine shapes, fresh and cached, and degraded under injected faults —
 // must pass internal/check's re-derivation of the dependence and
 // synchronization constraints. The verifier shares no code with the
@@ -17,6 +18,7 @@ import (
 	"doacross/internal/check"
 	"doacross/internal/core"
 	"doacross/internal/dlx"
+	"doacross/internal/passes"
 )
 
 // TestDifferentialVerify: the pipeline's verify stage accepts 100% of the
@@ -31,8 +33,8 @@ func TestDifferentialVerify(t *testing.T) {
 	machines := dlx.PaperConfigs()
 	b := run(t, srcs, Options{
 		Workers:  8,
-		Best:     true,
 		Machines: machines,
+		Compile:  passes.Options{Backend: "best"},
 		Metrics:  NewMetrics(),
 	})
 	if err := b.FirstErr(); err != nil {
@@ -46,7 +48,7 @@ func TestDifferentialVerify(t *testing.T) {
 		for _, mr := range lr.Machines {
 			sets++
 			for which, s := range map[string]*core.Schedule{
-				"list": mr.List, "sync": mr.Sync, "best": mr.Best,
+				"list": mr.List, "sync": mr.Sync,
 			} {
 				if s == nil {
 					t.Fatalf("%s on %s: missing %s schedule", lr.Name, mr.Machine, which)
@@ -87,7 +89,7 @@ func TestVerifyRejectionDegrades(t *testing.T) {
 		}
 		return nil
 	}
-	b := run(t, []string{fig1, fig1}, Options{Best: true, FaultHook: hook, Metrics: NewMetrics()})
+	b := run(t, []string{fig1, fig1}, Options{Compile: passes.Options{Backend: "best"}, FaultHook: hook, Metrics: NewMetrics()})
 	if err := b.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestVerifyRejectionDegrades(t *testing.T) {
 		if !mr.Degraded || !strings.Contains(mr.DegradedReason, "synthetic verifier rejection") {
 			t.Fatalf("%s not degraded by the verify stage: %+q", lr.Name, mr.DegradedReason)
 		}
-		if mr.List != mr.Sync || mr.Best != mr.Sync {
+		if mr.List != mr.Sync {
 			t.Errorf("%s: degraded result not served by the single fallback", lr.Name)
 		}
 		if l := check.Verify(mr.Sync); check.Err(l) != nil {

@@ -18,18 +18,18 @@ func TestBackendConformance(t *testing.T) {
 	for _, name := range passes.BackendNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := passes.BackendConfig{}
+			var ex exact.Options
 			opt := Options{}
 			if name == "exact" {
 				// The default node budget proves most of the corpus optimal
 				// and returns an anytime bound on the rest; -short trims the
 				// case list to keep the -race CI lane quick.
-				cfg.Exact = exact.Options{MaxNodes: exact.DefaultMaxNodes}
+				ex = exact.Options{MaxNodes: exact.DefaultMaxNodes}
 				if testing.Short() {
 					opt.Short = 6
 				}
 			}
-			sched, err := passes.Backend(name, cfg)
+			sched, err := passes.Backend(name, ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,10 +44,10 @@ func TestBackendConformance(t *testing.T) {
 // TestBackendUnknownName pins the seam's error contract: a mistyped backend
 // fails fast, naming the accepted list.
 func TestBackendUnknownName(t *testing.T) {
-	if _, err := passes.Backend("exacto", passes.BackendConfig{}); err == nil {
+	if _, err := passes.Backend("exacto", exact.Options{}); err == nil {
 		t.Fatal("unknown backend name accepted")
 	}
-	if s, err := passes.Backend("", passes.BackendConfig{}); err != nil || s.Name() != "sync" {
+	if s, err := passes.Backend("", exact.Options{}); err != nil || s.Name() != "sync" {
 		t.Fatalf("empty backend name: %v, %v", s, err)
 	}
 }

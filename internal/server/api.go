@@ -33,7 +33,6 @@ type MachineResult struct {
 	Key            string  `json:"key"`
 	ListTime       int     `json:"list_time"`
 	SyncTime       int     `json:"sync_time"`
-	BestTime       int     `json:"best_time,omitempty"`
 	Improvement    float64 `json:"improvement_pct"`
 	Backend        string  `json:"backend"`
 	PredictedT     int     `json:"predicted_t"`

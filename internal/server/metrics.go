@@ -39,7 +39,6 @@ const (
 	mFlightsLive
 	mFlightWaiters
 	mDraining
-	mCacheEntries
 	mDiskEntries // this row and the rest: exposed only with a disk tier
 	mDiskWrites
 	mDiskWriteErrors
@@ -74,9 +73,9 @@ type Stats struct {
 // plus the live gauges and the persistent tier's counters.
 type scrape struct {
 	Stats
-	inFlight, queueWaiting, flightsLive, flightWaiters, draining, cacheEntries int64
-	disk                                                                       pipeline.DiskStats
-	loaded, loadStale, loadCorrupt                                             int64
+	inFlight, queueWaiting, flightsLive, flightWaiters, draining int64
+	disk                                                         pipeline.DiskStats
+	loaded, loadStale, loadCorrupt                               int64
 }
 
 // daemonTable declares every scheduld_* metric once: its name, help and
@@ -100,7 +99,6 @@ var daemonTable = [numMetrics]obs.Metric[scrape]{
 	mFlightsLive:     {Name: "scheduld_flights_live", Type: obs.Gauge, Help: "singleflight computations currently running", Field: func(s *scrape) *int64 { return &s.flightsLive }},
 	mFlightWaiters:   {Name: "scheduld_flight_waiters", Type: obs.Gauge, Help: "callers currently waiting on a flight (leaders included)", Field: func(s *scrape) *int64 { return &s.flightWaiters }},
 	mDraining:        {Name: "scheduld_draining", Type: obs.Gauge, Help: "1 while the daemon is draining for shutdown", Field: func(s *scrape) *int64 { return &s.draining }},
-	mCacheEntries:    {Name: "scheduld_cache_entries", Type: obs.Gauge, Help: "in-memory cache entries", Field: func(s *scrape) *int64 { return &s.cacheEntries }},
 	mDiskEntries:     {Name: "scheduld_disk_entries", Type: obs.Gauge, Help: "persistent-tier entries on disk", Field: func(s *scrape) *int64 { return &s.disk.Entries }},
 	mDiskWrites:      {Name: "scheduld_disk_writes_total", Type: obs.Counter, Help: "persistent-tier writes", Field: func(s *scrape) *int64 { return &s.disk.Writes }},
 	mDiskWriteErrors: {Name: "scheduld_disk_write_errors_total", Type: obs.Counter, Help: "persistent-tier write failures (request unaffected)", Field: func(s *scrape) *int64 { return &s.disk.WriteErrors }},
@@ -128,7 +126,6 @@ func (s *Server) snapshot() scrape {
 	if s.draining.Load() {
 		sc.draining = 1
 	}
-	sc.cacheEntries = int64(s.cache.Len())
 	if s.disk != nil {
 		sc.disk = s.disk.Stats()
 		sc.loaded, sc.loadStale, sc.loadCorrupt = int64(s.loadStats.Loaded), int64(s.loadStats.Stale), int64(s.loadStats.Corrupt)

@@ -175,9 +175,6 @@ scheduld_flight_waiters 0
 # HELP scheduld_draining 1 while the daemon is draining for shutdown
 # TYPE scheduld_draining gauge
 scheduld_draining 1
-# HELP scheduld_cache_entries in-memory cache entries
-# TYPE scheduld_cache_entries gauge
-scheduld_cache_entries 0
 # HELP scheduld_disk_entries persistent-tier entries on disk
 # TYPE scheduld_disk_entries gauge
 scheduld_disk_entries 0

@@ -344,7 +344,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		opt = &o
 	}
 	backend = backendName(opt.Compile.Backend)
-	if _, err := passes.Backend(opt.Compile.Backend, passes.BackendConfig{Sync: opt.Sync, Exact: opt.Compile.Exact}); err != nil {
+	if _, err := passes.Backend(opt.Compile.Backend, opt.Compile.Exact); err != nil {
 		s.sm[mClientErrors].Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: err.Error()})
 		return
@@ -501,7 +501,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			Key:            hex.EncodeToString(m.Key[:]),
 			ListTime:       m.ListTime,
 			SyncTime:       m.SyncTime,
-			BestTime:       m.BestTime,
 			Improvement:    m.Improvement,
 			Backend:        m.Backend,
 			PredictedT:     m.PredictedT,
