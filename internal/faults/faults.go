@@ -61,6 +61,9 @@ const (
 	StageSchedule = "schedule"
 	StageSimulate = "simulate"
 	StageCache    = "cache"
+	// StageFallback is probed once per degraded machine result, before
+	// the verified program-order fallback is built.
+	StageFallback = "fallback"
 	// StageDiskWrite and StageDiskRead are the disk tier's probe points,
 	// fired once per entry written respectively read back.
 	StageDiskWrite = "disk-write"

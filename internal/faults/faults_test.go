@@ -85,7 +85,7 @@ func TestStageGating(t *testing.T) {
 	in := MustNew(Plan{Error: 0, Corrupt: 0.5, Budget: 0.5})
 	corrupts, budgets := 0, 0
 	for _, name := range names(300) {
-		for _, stage := range []string{StageCompile, StageSchedule, StageSimulate, StageCache, "parse"} {
+		for _, stage := range []string{StageCompile, StageSchedule, StageSimulate, StageCache, StageFallback, "parse"} {
 			k, ok := in.Decide(stage, name)
 			if !ok {
 				continue

@@ -150,13 +150,14 @@ type Options struct {
 	RequestTimeout time.Duration
 	// FaultHook, when non-nil, is probed with (stage, request name) at the
 	// start of the "compile", "schedule", "check" and "simulate" stages, once
-	// per request at "cache" consultation, and before every compilation pass
-	// (with the pass name as the stage). A returned error fails the stage —
-	// subject to the same fallback rules as organic failures — and a "cache"
-	// error drops the cached entries for the request (forcing recompute). A
-	// hook panic is isolated like any stage panic. internal/faults provides
-	// a seeded deterministic implementation; production batches leave it
-	// nil.
+	// per request at "cache" consultation, before every compilation pass
+	// (with the pass name as the stage) and before the "fallback" of a
+	// degraded machine result. A returned error fails the stage — subject
+	// to the same fallback rules as organic failures, and a failed fallback
+	// fails the request — and a "cache" error drops the cached entries for
+	// the request (forcing recompute). A hook panic is isolated like any
+	// stage panic. internal/faults provides a seeded deterministic
+	// implementation; production batches leave it nil.
 	FaultHook func(stage, name string) error
 	// Utilization additionally traces every simulation with the machine-
 	// level tracer (sim.Tracer) and attaches the derived utilization
@@ -251,8 +252,9 @@ func (o Options) compileSalt() string {
 // pass names). These mirror internal/faults' stage constants without
 // importing it: the hook signature is plain func values in both directions.
 const (
-	stageCompile = "compile"
-	stageCache   = "cache"
+	stageCompile  = "compile"
+	stageCache    = "cache"
+	stageFallback = "fallback"
 )
 
 // MachineResult is one loop's outcome on one machine configuration.
@@ -674,23 +676,31 @@ func safeStage(stage, name string, metrics *Metrics, f func() error) (err error)
 // program-order list schedule, which the paper guarantees is always correct
 // (if slower), served in both slots. It passes Validate and the request's
 // independent verifier before use, so the service never returns an
-// unverified schedule.
-func fallbackSchedule(g *dfg.Graph, cfg dlx.Config, backend string, ver *check.Verifier, sm simulator) (*schedEntry, *timeEntry, error) {
-	fb, err := core.List(g, cfg, core.ProgramOrder)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := fb.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("fallback schedule failed validation: %w", err)
-	}
-	if err := check.Err(ver.Verify(fb)); err != nil {
-		return nil, nil, err
-	}
-	times, err := sm.time(fb, fb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &schedEntry{list: fb, sync: fb, backend: backend, predictedT: model.Predict(fb, sm.opt.Hi)}, times, nil
+// unverified schedule. It is a stage of its own: probed as "fallback" and
+// panic-isolated like the others.
+func fallbackSchedule(name string, metrics *Metrics, probe func(stage string) error,
+	g *dfg.Graph, cfg dlx.Config, backend string, ver *check.Verifier, sm simulator) (entry *schedEntry, times *timeEntry, err error) {
+	err = safeStage(stageFallback, name, metrics, func() error {
+		if err := probe(stageFallback); err != nil {
+			return err
+		}
+		fb, err := core.List(g, cfg, core.ProgramOrder)
+		if err != nil {
+			return err
+		}
+		if err := fb.Validate(); err != nil {
+			return fmt.Errorf("fallback schedule failed validation: %w", err)
+		}
+		if err := check.Err(ver.Verify(fb)); err != nil {
+			return err
+		}
+		if times, err = sm.time(fb, fb); err != nil {
+			return err
+		}
+		entry = &schedEntry{list: fb, sync: fb, backend: backend, predictedT: model.Predict(fb, sm.opt.Hi)}
+		return nil
+	})
+	return entry, times, err
 }
 
 // simulator times one request's schedules at its trip count and window.
@@ -1105,7 +1115,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 		// request, as nothing verified is left to serve.
 		if fail != nil {
 			var err error
-			entry, times, err = fallbackSchedule(res.Graph, cfg, opt.backendName(), verifier(), sm)
+			entry, times, err = fallbackSchedule(res.Name, metrics, probe, res.Graph, cfg, opt.backendName(), verifier(), sm)
 			if err != nil {
 				res.Err = fmt.Errorf("pipeline: %s on %s: %v (fallback failed: %w)", res.Name, cfg.Name, fail, err)
 				endSim(mspan, res.Err, mr, nil, false, opt.Observer)

@@ -230,7 +230,8 @@ func TestPanicIsolationScheduleStage(t *testing.T) {
 // either baseline priority: both slots hold the one program-order fallback,
 // which passes the independent verifier and is timed; each result counts
 // one fallback; and nothing degraded is cached, so a second batch over the
-// same cache reruns the failed stage.
+// same cache reruns the failed stage. A fallback that fails too fails the
+// request.
 func TestScheduleFallback(t *testing.T) {
 	srcs := corpus(6)
 	for _, stage := range []string{StageSchedule, StageVerify, StageSimulate} {
@@ -285,6 +286,45 @@ func TestScheduleFallback(t *testing.T) {
 				}
 			})
 		}
+		// The fallback fails too: nothing verified is left to serve, so
+		// every request errs with both failures, no fallback is counted and
+		// nothing is cached.
+		t.Run(stage+"/fallback-fails", func(t *testing.T) {
+			cache := NewCache()
+			hook := func(s, name string) error {
+				if s == stage || s == stageFallback {
+					return errors.New("synthetic " + s + " failure")
+				}
+				return nil
+			}
+			b, err := Run(reqsFor(srcs), Options{Cache: cache, FaultHook: hook})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lr := range b.Loops {
+				if lr.Err == nil {
+					t.Fatalf("%s served although its fallback failed", lr.Name)
+				}
+				for _, want := range []string{"synthetic " + stage + " failure", "(fallback failed: synthetic fallback failure)"} {
+					if !strings.Contains(lr.Err.Error(), want) {
+						t.Errorf("%s: err %q does not name %q", lr.Name, lr.Err, want)
+					}
+				}
+			}
+			if b.Stats.Fallbacks != 0 {
+				t.Errorf("fallbacks = %d, want 0", b.Stats.Fallbacks)
+			}
+			b2, err := Run(reqsFor(srcs), Options{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b2.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			if n := b2.Stats.Stage(stage).Count; n != int64(len(srcs)) {
+				t.Errorf("second batch ran %s %d times, want %d", stage, n, len(srcs))
+			}
+		})
 	}
 }
 
@@ -339,18 +379,20 @@ func chaosSeed(t *testing.T) uint64 {
 // the test can walk the pipeline's probe sites in order and predict exactly
 // what each request does and what the counters end at.
 type chaosOutcome struct {
-	err       bool
-	degraded  bool
-	panics    int64
-	fallbacks int64
-	verified  int64
-	rejected  int64
-	counts    faults.Counts
+	err         bool
+	fallbackErr bool // err because the fallback failed too
+	degraded    bool
+	panics      int64
+	fallbacks   int64
+	verified    int64
+	rejected    int64
+	counts      faults.Counts
 }
 
 // expectOutcome mirrors runOne's probe order for an uncached request:
 // compile probe, then each compilation pass, then schedule, then the
-// independent verifier, then simulate.
+// independent verifier, then simulate, and after the first failing one of
+// those three the fallback.
 func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOutcome {
 	var o chaosOutcome
 	record := func(k faults.Kind) {
@@ -391,10 +433,22 @@ func expectOutcome(in *faults.Injector, passNames []string, name string) chaosOu
 			}
 		}
 	}
-	// The first failing stage degrades the request onto the fallback, which
-	// is verified and timed without further probes: the remaining stages are
-	// skipped.
+	// The first failing stage degrades the request onto the fallback: the
+	// remaining stages are skipped and only the fallback's own probe fires.
+	// A fallback that fails too fails the request.
 	degrade := func() chaosOutcome {
+		if k, ok := in.Decide(faults.StageFallback, name); ok {
+			record(k)
+			switch k {
+			case faults.Panic:
+				o.panics++
+				fallthrough
+			case faults.Error:
+				o.err = true
+				o.fallbackErr = true
+				return o
+			}
+		}
 		o.degraded = true
 		o.fallbacks++
 		return o
@@ -487,7 +541,7 @@ func TestChaos(t *testing.T) {
 	oracle := faults.MustNew(chaosPlan(seed))
 	var wantCounts faults.Counts
 	var wantPanics, wantFallbacks, wantVerified, wantRejected int64
-	erred, degraded := 0, 0
+	erred, degraded, fallbackFailed := 0, 0, 0
 	for i := range srcs {
 		o := expectOutcome(oracle, passNames, Request{}.name(i))
 		wantCounts = addCounts(wantCounts, o.counts)
@@ -504,6 +558,12 @@ func TestChaos(t *testing.T) {
 		}
 		if lr.Err == nil && lr.Degraded() != o.degraded {
 			t.Errorf("%s: degraded = %v, plan predicts %v", lr.Name, lr.Degraded(), o.degraded)
+		}
+		if o.fallbackErr {
+			fallbackFailed++
+			if lr.Err != nil && !strings.Contains(lr.Err.Error(), "fallback failed") {
+				t.Errorf("%s: err = %v, plan predicts a failed fallback", lr.Name, lr.Err)
+			}
 		}
 		if o.err {
 			erred++
@@ -550,6 +610,9 @@ func TestChaos(t *testing.T) {
 	}
 	if wantRejected == 0 {
 		t.Errorf("chaos plan fired no verify-stage faults for seed %d: rejection path untested", seed)
+	}
+	if fallbackFailed == 0 {
+		t.Errorf("chaos plan failed no fallback for seed %d: the failed-fallback path is untested", seed)
 	}
 	if b.Stats.Timeouts != 0 {
 		t.Errorf("timeouts counter = %d without any deadline", b.Stats.Timeouts)

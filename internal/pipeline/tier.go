@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"doacross/internal/check"
 	"doacross/internal/core"
@@ -31,8 +34,8 @@ import (
 // (Rows[c] = node indices issued at cycle c, in issue order) and the
 // producing method name. Cycle is rederived from Rows on load.
 type diskSchedule struct {
-	Method string  `json:"method"`
-	Rows   [][]int `json:"rows"`
+	Method string   `json:"method"`
+	Rows   diskRows `json:"rows"`
 }
 
 // diskPayload is the JSON payload of one persistent-tier entry.
@@ -154,6 +157,15 @@ func (ls LoadStats) String() string {
 		ls.Scanned, ls.Loaded, ls.Stale, ls.Corrupt, ls.Errors)
 }
 
+// add sums another tally into ls.
+func (ls *LoadStats) add(o LoadStats) {
+	ls.Scanned += o.Scanned
+	ls.Loaded += o.Loaded
+	ls.Stale += o.Stale
+	ls.Corrupt += o.Corrupt
+	ls.Errors += o.Errors
+}
+
 // LoadDisk restores the persistent tier into the in-memory cache, so a
 // restarted service comes up warm. Every entry is re-earned, never
 // trusted:
@@ -177,27 +189,38 @@ func (ls LoadStats) String() string {
 // the same keys a live run would use: subsequent requests for the loop are
 // pure memory hits, with zero recompiles and zero reschedules.
 //
+// The load runs in two phases, each on at most runtime.GOMAXPROCS(0)
+// workers. First every entry is read, checked and decoded on its own
+// (steps 1 and 2). Then the survivors are grouped by loop source, and one
+// worker takes each loop whole: it compiles the loop once and verifies all
+// of its entries with a check.Verifier of its own (steps 3 to 5). The
+// stats, the quarantine set and the store's counters come out as a load of
+// one entry at a time would leave them. A cancelled ctx stops the workers;
+// LoadDisk returns ctx.Err() once all of them have exited. A panic in a
+// worker (an injected "disk-read" fault, say) stops the others and is
+// raised again on the caller's goroutine.
+//
 // The compilations LoadDisk performs are deliberately not traced into any
 // metrics registry: they are warmup verification work, not served traffic.
 func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (LoadStats, error) {
-	var ls LoadStats
 	if d == nil || cache == nil {
-		return ls, errors.New("pipeline: LoadDisk needs a store and a cache")
+		return LoadStats{}, errors.New("pipeline: LoadDisk needs a store and a cache")
 	}
 	keys, err := d.Keys()
 	if err != nil {
-		return ls, err
+		return LoadStats{}, err
 	}
 	salts := newSalts(opt)
-	popts := opt.Compile
-	popts.Tracer, popts.FaultHook, popts.Observer, popts.Request = nil, nil, nil, ""
-	// One verifier per compiled program, shared by all of its entries and
-	// dropped when the pass ends (never stored in the compile entry).
-	verifiers := map[*compileEntry]*check.Verifier{}
-	for _, k := range keys {
-		if ctx.Err() != nil {
-			return ls, ctx.Err()
-		}
+	quarantine := func(ls *LoadStats, k dfg.Fingerprint) {
+		ls.Corrupt++
+		d.corrupt.Add(1)
+		_ = d.Quarantine(k)
+	}
+
+	// Phase 1: read, integrity-check and decode every entry; skip the stale.
+	payloads := make([]*diskPayload, len(keys))
+	ls, err := loadParallel(ctx, len(keys), func(i int, ls *LoadStats) {
+		k := keys[i]
 		ls.Scanned++
 		payload, err := d.Get(k)
 		var ce *CorruptEntryError
@@ -206,100 +229,183 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		case errors.As(err, &ce):
 			ls.Corrupt++
 			_ = d.Quarantine(k)
-			continue
+			return
 		case errors.Is(err, os.ErrNotExist):
-			continue // raced with quarantine/replacement; nothing to load
+			return // raced with quarantine/replacement; nothing to load
 		default:
 			ls.Errors++
-			continue
+			return
 		}
-		quarantine := func() {
-			ls.Corrupt++
-			d.corrupt.Add(1)
-			_ = d.Quarantine(k)
-		}
-		var p diskPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			quarantine()
-			continue
+		p := new(diskPayload)
+		if err := json.Unmarshal(payload, p); err != nil {
+			quarantine(ls, k)
+			return
 		}
 		if p.CompileSalt != salts.compile || p.SchedSalt != salts.sched || p.Window != opt.Window {
 			ls.Stale++
-			continue
+			return
 		}
 		if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 ||
 			p.Machine.Validate() != nil {
-			quarantine()
+			quarantine(ls, k)
+			return
+		}
+		payloads[i] = p
+	})
+	if err != nil {
+		return ls, err
+	}
+
+	// Group the survivors by loop, in key order.
+	var loops [][]int // indices into keys, one slice per distinct source
+	bySource := map[string]int{}
+	for i, p := range payloads {
+		if p == nil {
 			continue
 		}
-		// Recompile the source (through the memo: repeated loops compile
-		// once per load). The compilation is the ground truth the persisted
-		// rows are verified against.
-		srcKey := sourceKey(p.Source, salts.compile)
+		j, ok := bySource[p.Source]
+		if !ok {
+			j = len(loops)
+			bySource[p.Source] = j
+			loops = append(loops, nil)
+		}
+		loops[j] = append(loops[j], i)
+	}
+
+	// Phase 2: compile, verify and publish, one loop per worker.
+	popts := opt.Compile
+	popts.Tracer, popts.FaultHook, popts.Observer, popts.Request = nil, nil, nil, ""
+	verified, err := loadParallel(ctx, len(loops), func(j int, ls *LoadStats) {
+		entries := loops[j]
+		// Recompile the source once (through the memo). The compilation is
+		// the ground truth the persisted rows are verified against.
+		src := payloads[entries[0]].Source
+		srcKey := sourceKey(src, salts.compile)
 		var compiled *compileEntry
 		if v, ok := cache.Get(srcKey); ok {
 			compiled = v.(*compileEntry)
 		} else {
-			ce, err := compile(ctx, popts, nil, p.Source)
+			ce, err := compile(ctx, popts, nil, src)
 			if err != nil {
 				if ctx.Err() != nil {
-					return ls, ctx.Err()
+					return // loadParallel reports the cancellation
 				}
-				quarantine()
-				continue
+				for _, i := range entries {
+					quarantine(ls, keys[i])
+				}
+				return
 			}
 			v, _ := cache.Put(srcKey, ce)
 			compiled = v.(*compileEntry)
 		}
-		// Rebuild the schedules over the fresh program and graph.
-		base := &core.Schedule{Prog: compiled.prog, Graph: compiled.graph, Cfg: p.Machine}
-		list, err := p.List.rebuild(base)
-		var sync *core.Schedule
-		if err == nil {
-			sync, err = p.Sync.rebuild(base)
+		// One verifier per loop, owned by this worker: a Verifier is not
+		// safe for concurrent use, and it is never stored in the memo.
+		ver := check.NewVerifier(compiled.prog)
+		for _, i := range entries {
+			if publishEntry(cache, &salts, keys[i], payloads[i], compiled, ver) {
+				ls.Loaded++
+			} else {
+				quarantine(ls, keys[i])
+			}
 		}
-		if err != nil {
-			quarantine()
-			continue
-		}
-		// Independent semantic verification: the restored schedules must
-		// pass exactly the checks fresh ones do, timing audit included.
-		ver := verifiers[compiled]
-		if ver == nil {
-			ver = check.NewVerifier(compiled.prog)
-			verifiers[compiled] = ver
-		}
-		if err := check.Err(ver.VerifyLoaded(list, sync, p.Times.SyncTime, p.N)); err != nil {
-			quarantine()
-			continue
-		}
-		// Content-address audit: the key recomputed from the entry's own
-		// contents must be the key it was filed under.
-		fp := compiled.fp
-		nwSalt := salts.nwSalt(p.N) // p.Window == opt.Window
-		if salts.diskKey(fp, p.Machine, nwSalt, p.ExactSalt) != k {
-			quarantine()
-			continue
-		}
-		entry := &schedEntry{
-			list: list, sync: sync,
-			backend:      p.Backend,
-			predictedT:   p.PredictedT,
-			predictedAtN: p.PredictedAt,
-			optimal:      p.Optimal,
-			lowerBound:   p.LowerBound,
-			searchNodes:  p.SearchNodes,
-			note:         p.Note,
-		}
-		if !entry.cacheable() {
-			// A budget-exhausted exact result should never have been
-			// persisted; refuse to launder it into the cache.
-			quarantine()
-			continue
-		}
-		cache.Put(salts.schedKey(fp, p.Machine, p.ExactSalt), entry)
-		cache.Put(salts.timeKey(fp, p.Machine, nwSalt, p.ExactSalt), &timeEntry{simTimes: p.Times})
-		ls.Loaded++
+	})
+	ls.add(verified)
+	return ls, err
+}
+
+// publishEntry rebuilds one decoded entry's schedules over its loop's fresh
+// compilation, verifies them, audits the entry's content address against
+// its key k and publishes the schedule and time entries to cache. It
+// reports false, publishing nothing, if any check fails.
+func publishEntry(cache *Cache, salts *salts, k dfg.Fingerprint, p *diskPayload,
+	compiled *compileEntry, ver *check.Verifier) bool {
+	// Rebuild the schedules over the fresh program and graph.
+	base := &core.Schedule{Prog: compiled.prog, Graph: compiled.graph, Cfg: p.Machine}
+	list, err := p.List.rebuild(base)
+	if err != nil {
+		return false
 	}
-	return ls, nil
+	sync, err := p.Sync.rebuild(base)
+	if err != nil {
+		return false
+	}
+	// Independent semantic verification: the restored schedules must pass
+	// exactly the checks fresh ones do, timing audit included.
+	if check.Err(ver.VerifyLoaded(list, sync, p.Times.SyncTime, p.N)) != nil {
+		return false
+	}
+	// Content-address audit: the key recomputed from the entry's own
+	// contents must be the key it was filed under.
+	fp := compiled.fp
+	nwSalt := salts.nwSalt(p.N) // p.Window == opt.Window
+	if salts.diskKey(fp, p.Machine, nwSalt, p.ExactSalt) != k {
+		return false
+	}
+	entry := &schedEntry{
+		list: list, sync: sync,
+		backend:      p.Backend,
+		predictedT:   p.PredictedT,
+		predictedAtN: p.PredictedAt,
+		optimal:      p.Optimal,
+		lowerBound:   p.LowerBound,
+		searchNodes:  p.SearchNodes,
+		note:         p.Note,
+	}
+	if !entry.cacheable() {
+		// A budget-exhausted exact result should never have been
+		// persisted; refuse to launder it into the cache.
+		return false
+	}
+	cache.Put(salts.schedKey(fp, p.Machine, p.ExactSalt), entry)
+	cache.Put(salts.timeKey(fp, p.Machine, nwSalt, p.ExactSalt), &timeEntry{simTimes: p.Times})
+	return true
+}
+
+// loadParallel runs work(i, tally) for every i in [0, n) on at most
+// runtime.GOMAXPROCS(0) goroutines and returns the sum of the workers'
+// tallies. It stops handing out work once ctx is done, and returns
+// ctx.Err() only after every worker has exited. A panic in work stops the
+// other workers and is re-raised, with its original value, on the caller's
+// goroutine once they have all exited.
+func loadParallel(ctx context.Context, n int, work func(i int, ls *LoadStats)) (LoadStats, error) {
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		total    LoadStats
+		panicked bool
+		panicVal any
+	)
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			var ls LoadStats
+			defer func() {
+				r := recover()
+				mu.Lock()
+				total.add(ls)
+				if r != nil && !panicked {
+					panicked, panicVal = true, r
+				}
+				mu.Unlock()
+				if r != nil {
+					stop.Store(true)
+				}
+				wg.Done()
+			}()
+			for !stop.Load() && ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				work(i, &ls)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
+	return total, ctx.Err()
 }

@@ -213,7 +213,9 @@ func New(cfg Config) (*Server, error) {
 		loadOpt.Metrics = nil
 		loadOpt.FaultHook = nil
 		loadOpt.Observer = nil
+		start := time.Now()
 		ls, err := pipeline.LoadDisk(context.Background(), disk, s.cache, loadOpt)
+		took := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("server: load disk tier: %w", err)
 		}
@@ -222,7 +224,8 @@ func New(cfg Config) (*Server, error) {
 		s.opt.Disk = disk
 		s.log.Info("disk tier loaded",
 			"dir", cfg.DiskDir, "scanned", ls.Scanned, "loaded", ls.Loaded,
-			"stale", ls.Stale, "corrupt", ls.Corrupt, "errors", ls.Errors)
+			"stale", ls.Stale, "corrupt", ls.Corrupt, "errors", ls.Errors,
+			"duration_ms", float64(took.Microseconds())/1000)
 	}
 	return s, nil
 }

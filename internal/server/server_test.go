@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -428,9 +430,23 @@ func TestServerWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := newTestServer(t, Config{DiskDir: dir})
+	var logged bytes.Buffer
+	s2 := newTestServer(t, Config{DiskDir: dir, Logger: slog.New(slog.NewJSONHandler(&logged, nil))})
 	if ls := s2.LoadStats(); ls.Loaded < 1 || ls.Corrupt != 0 {
 		t.Fatalf("warm start loaded %d entries (%s), want >= 1 clean", ls.Loaded, ls)
+	}
+	// The load is logged with its outcome and how long it took.
+	var line struct {
+		Msg        string   `json:"msg"`
+		Loaded     int      `json:"loaded"`
+		DurationMS *float64 `json:"duration_ms"`
+	}
+	if err := json.Unmarshal(logged.Bytes(), &line); err != nil {
+		t.Fatalf("log %q: %v", logged.String(), err)
+	}
+	if line.Msg != "disk tier loaded" || line.Loaded != s2.LoadStats().Loaded ||
+		line.DurationMS == nil || *line.DurationMS <= 0 {
+		t.Errorf("load log line = %s, want the loaded count and a positive duration_ms", logged.String())
 	}
 	w, body = post(t, s2.Handler(), ScheduleRequest{Name: "fig1", Source: fig1}, nil)
 	warm := decodeOK(t, w, body)
